@@ -21,7 +21,7 @@ from .info_metrics import (
     normalized_mutual_information,
     variation_of_information,
 )
-from .matching_metrics import MatchMaxima, f_measure, nvd, update_maxima
+from .matching_metrics import MatchMaxima, f_measure, nvd
 from .pair_metrics import (
     DegenerateIndexError,
     PairCounts,

@@ -1,37 +1,49 @@
 """Metric evaluation across the sequential, shared-memory, and ring backends.
 
-Each family follows the same shape: communities are sharded by
-``community_id mod num_workers``; shared-memory workers read the full input
-copy-on-write while ring workers only ever combine their own shard with
-shards received over the ring.  Reduction happens in worker-id order so
-repeated runs produce identical results.
+Every backend evaluates a family with the same kernel.  The extrinsic
+families (info, matching, pair) reduce the contingency cells n_ij, which
+worker p builds for the ground rows ``p::w`` with
+:func:`~commqual.graph.contingency_rows` and reduces with the functions the
+sequential path applies to the whole table.  The backends differ only in
+where a worker's node -> detected label array comes from: ``shm`` workers
+read the parent's copy-on-write, ``ring`` workers scatter their own detected
+shard and each shard received over the ring.  The intrinsic family computes
+per-community statistics from the full network (``shm``) or from the
+subgraph around the worker's own communities (``ring``), with no messages.
+
+The parent writes the per-row or per-community partial results into arrays
+indexed by id and reduces them as the sequential path does, so float
+results are identical across backends and worker counts.
 
 All entry points return ``(result, PhaseTiming)``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import PartitionShard, build_contingency, local_subgraph, shard
-from ..info_metrics import (
-    normalized_mutual_information, variation_of_information,
+from ..graph import (
+    build_contingency, contingency_rows, local_subgraph, scatter_labels, shard,
 )
-from ..matching_metrics import MatchMaxima, f_measure, nvd, update_maxima
+from ..info_metrics import (
+    mi_row_terms, normalized_mutual_information, partition_entropy,
+    variation_of_information, vi_row_terms,
+)
+from ..matching_metrics import MatchMaxima, f_measure, nvd
 from ..pair_metrics import (
-    PairCounts, adjusted_rand_index, jaccard_index, pair_counts_fast,
-    pair_counts_striped, rand_index,
+    PairCounts, adjusted_rand_index, choose2_sum, covered_labels,
+    jaccard_index, pair_counts_fast, pair_counts_striped, rand_index,
 )
 from ..intrinsic_metrics import (
-    CommunityStats, community_measures, community_stats, intrinsic_report,
-    IntrinsicReport, modularity, modularity_density,
+    CommunityStats, community_measures, intrinsic_report, IntrinsicReport,
+    modularity_density_terms, modularity_terms, node_labels, stats_from_labels,
 )
-from .._overlap import CommunityGroup, group_from_shard, overlap_row
 from .transport import (
-    RING, SEQ, SHM, BackendConfig, PhaseTiming, WorkerStats, run_workers,
+    RING, SEQ, BackendConfig, PhaseTiming, WorkerStats, run_workers,
 )
 
 
@@ -69,10 +81,51 @@ def _records_of(shard_obj):
     return list(zip(shard_obj.comm_ids.tolist(), shard_obj.communities))
 
 
-def _shard_from_records(origin, num_workers, records, universe_size):
-    ids = np.array([rid for rid, _ in records], dtype=np.int64)
-    return PartitionShard(origin, num_workers, ids,
-                          [members for _, members in records], universe_size)
+def _circulated_labels(ctx, cols):
+    """Node -> column id array and column sizes, scattered from this worker's
+    own shard of ``cols`` and every shard received in one ring circulation."""
+    records = _records_of(shard(cols, ctx.num_workers, ctx.worker_id))
+    gathered = list(records)
+    for _origin, foreign in ctx.circulate(records):
+        gathered.extend(foreign)
+    with ctx.compute():
+        ids = [rid for rid, _ in gathered]
+        members = [values for _, values in gathered]
+        sizes = np.zeros(len(cols.communities), dtype=np.int64)
+        sizes[ids] = [values.size for values in members]
+        return scatter_labels(ids, members), sizes
+
+
+def _own_rows(ctx, rows, cols, col_of):
+    """This worker's row slice of the (rows x cols) contingency table.
+
+    ``col_of`` is the parent's node -> column array; on the ring it is
+    unused and the labels come from one circulation of the column shards.
+    """
+    col_sizes = cols.sizes
+    if ctx.ring_enabled:
+        col_of, col_sizes = _circulated_labels(ctx, cols)
+    with ctx.compute():
+        return contingency_rows(rows, col_of, col_sizes,
+                                ctx.num_workers, ctx.worker_id)
+
+
+def _run_family(worker, args, config):
+    return run_workers(
+        worker, args, config.num_workers,
+        ring=config.backend == RING,
+        channel_capacity=config.channel_capacity,
+        timer_enabled=config.timer_enabled,
+    )
+
+
+def _gather_rows(out, key, num_rows):
+    """Per-row worker results, written back to one array indexed by row id."""
+    w = len(out)
+    full = np.zeros(num_rows)
+    for p, (payload, _stats) in enumerate(out):
+        full[p::w] = payload[key]
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -80,56 +133,11 @@ def _shard_from_records(origin, num_workers, records, universe_size):
 # ---------------------------------------------------------------------------
 
 
-def _entropy_part(sizes, n):
-    if len(sizes) == 0:
-        return 0.0
-    p = np.asarray(sizes, dtype=np.float64) / n
-    return -float(np.sum(p * np.log(p)))
-
-
-def _info_scan(ground_comms, dgroup, n):
-    """Accumulate the VI and MI cell terms of the given ground communities
-    against a compiled detected group.  Returns (vi_terms, mi_terms)."""
-    vi_sum = 0.0
-    mi_sum = 0.0
-    for members in ground_comms:
-        ov = overlap_row(members, dgroup)
-        nz = np.flatnonzero(ov)
-        if nz.size == 0:
-            continue
-        o = ov[nz].astype(np.float64)
-        denom = members.size * dgroup.sizes[nz].astype(np.float64)
-        vi_sum += float(np.sum(o * np.log(o * o / denom)))
-        mi_sum += float(np.sum((o / n) * np.log(o * n / denom)))
-    return vi_sum, mi_sum
-
-
-def _info_worker(ctx, ground, detected):
+def _info_worker(ctx, ground, detected, detected_labels):
     w, p = ctx.num_workers, ctx.worker_id
-    n = ground.universe_size
+    table = _own_rows(ctx, ground, detected, detected_labels)
     with ctx.compute():
-        gshard = shard(ground, w, p)
-        dshard = shard(detected, w, p)
-        h_rows = _entropy_part(gshard.sizes, n)
-        h_cols = _entropy_part(dshard.sizes, n)
-        if ctx.ring_enabled or w == 1:
-            vi_sum, mi_sum = _info_scan(gshard.communities,
-                                        group_from_shard(dshard), n)
-        else:
-            # shared memory: scan own rows against the full detected partition
-            full = CommunityGroup.from_communities(
-                np.arange(len(detected.communities)), detected.communities)
-            vi_sum, mi_sum = _info_scan(gshard.communities, full, n)
-    if ctx.ring_enabled or w == 1:
-        for _origin, records in ctx.circulate(_records_of(dshard)):
-            with ctx.compute():
-                fgroup = CommunityGroup.from_communities(
-                    [rid for rid, _ in records],
-                    [members for _, members in records])
-                dv, dm = _info_scan(gshard.communities, fgroup, n)
-                vi_sum += dv
-                mi_sum += dm
-    return {"vi": vi_sum, "mi": mi_sum, "h_rows": h_rows, "h_cols": h_cols}
+        return {"vi": vi_row_terms(table)[p::w], "mi": mi_row_terms(table)[p::w]}
 
 
 def run_info_metrics(ground, detected, config=None):
@@ -147,22 +155,15 @@ def run_info_metrics(ground, detected, config=None):
         )
         return result, _sequential_timing(time.perf_counter() - t0)
 
-    out = run_workers(
-        _info_worker, (ground, detected), config.num_workers,
-        ring=config.backend == RING,
-        channel_capacity=config.channel_capacity,
-        timer_enabled=config.timer_enabled,
-    )
-    vi_sum = mi_sum = h_rows = h_cols = 0.0
-    for payload, _stats in out:
-        vi_sum += payload["vi"]
-        mi_sum += payload["mi"]
-        h_rows += payload["h_rows"]
-        h_cols += payload["h_cols"]
-    denom = h_rows + h_cols
+    out = _run_family(
+        _info_worker, (ground, detected, detected.node_map().comm_of), config)
+    k = len(ground.communities)
+    vi_rows = _gather_rows(out, "vi", k)
+    mi_rows = _gather_rows(out, "mi", k)
+    h = partition_entropy(ground.sizes, n) + partition_entropy(detected.sizes, n)
     result = InfoMetrics(
-        vi=-vi_sum / n,
-        nmi=1.0 if denom == 0.0 else 2.0 * mi_sum / denom,
+        vi=-float(vi_rows.sum()) / n,
+        nmi=1.0 if h == 0.0 else 2.0 * float(mi_rows.sum()) / h,
     )
     return result, PhaseTiming.from_workers([s for _, s in out])
 
@@ -172,28 +173,13 @@ def run_info_metrics(ground, detected, config=None):
 # ---------------------------------------------------------------------------
 
 
-def _matching_worker(ctx, ground, detected):
-    w, p = ctx.num_workers, ctx.worker_id
-    n = ground.universe_size
-    with ctx.compute():
-        gshard = shard(ground, w, p)
-        dshard = shard(detected, w, p)
-        m = MatchMaxima.empty(len(ground.communities), len(detected.communities))
-        if ctx.ring_enabled or w == 1:
-            m = update_maxima(m, gshard, dshard)
-        else:
-            m = update_maxima(m, gshard, shard(detected, 1, 0))
-    if ctx.ring_enabled or w == 1:
-        # phase 1: my ground rows against every detected shard
-        for origin, records in ctx.circulate(_records_of(dshard)):
-            with ctx.compute():
-                m = update_maxima(
-                    m, gshard, _shard_from_records(origin, w, records, n))
-        # phase 2: every ground shard against my detected columns
-        for origin, records in ctx.circulate(_records_of(gshard)):
-            with ctx.compute():
-                m = update_maxima(
-                    m, _shard_from_records(origin, w, records, n), dshard)
+def _matching_worker(ctx, ground, detected, detected_labels):
+    m = MatchMaxima.from_contingency(
+        _own_rows(ctx, ground, detected, detected_labels))
+    if ctx.ring_enabled:
+        # phase 2: own detected columns against every circulated ground shard
+        cols = MatchMaxima.from_contingency(_own_rows(ctx, detected, ground, None))
+        m = MatchMaxima(m.max_normed, m.max_t, cols.max_t)
     return {"max_normed": m.max_normed, "max_t": m.max_t, "max_d": m.max_d}
 
 
@@ -212,12 +198,8 @@ def run_matching_metrics(ground, detected, config=None):
         )
         return result, _sequential_timing(time.perf_counter() - t0)
 
-    out = run_workers(
-        _matching_worker, (ground, detected), config.num_workers,
-        ring=config.backend == RING,
-        channel_capacity=config.channel_capacity,
-        timer_enabled=config.timer_enabled,
-    )
+    out = _run_family(
+        _matching_worker, (ground, detected, detected.node_map().comm_of), config)
     merged = MatchMaxima.empty(len(ground.communities), len(detected.communities))
     for payload, _stats in out:
         merged = merged.merge(MatchMaxima(
@@ -234,24 +216,13 @@ def run_matching_metrics(ground, detected, config=None):
 # ---------------------------------------------------------------------------
 
 
-def _choose2(values):
-    return int(sum(x * (x - 1) // 2 for x in values))
-
-
-def _pair_shm_worker(ctx, ground, detected_comm_of, detected_sizes):
+def _pair_worker(ctx, ground, detected, detected_labels):
     w, p = ctx.num_workers, ctx.worker_id
+    table = _own_rows(ctx, ground, detected, detected_labels)
     with ctx.compute():
-        gshard = shard(ground, w, p)
-        a11 = 0
-        row_pairs = 0
-        for members in gshard.communities:
-            labels = detected_comm_of[members]
-            _, cnt = np.unique(labels, return_counts=True)
-            a11 += _choose2(cnt.tolist())
-            row_pairs += members.size * (members.size - 1) // 2
-        col_pairs = _choose2(
-            detected_sizes[p::w].tolist())
-    return {"a11": a11, "row_pairs": row_pairs, "col_pairs": col_pairs}
+        return {"a11": choose2_sum(table.counts),
+                "row_pairs": choose2_sum(ground.sizes[p::w]),
+                "col_pairs": choose2_sum(detected.sizes[p::w])}
 
 
 def _pair_brute_worker(ctx, ground_comm_of, detected_comm_of, universe_size):
@@ -265,110 +236,18 @@ def _pair_brute_worker(ctx, ground_comm_of, detected_comm_of, universe_size):
             "a01": counts.a01, "a00": counts.a00}
 
 
-def _pair_ring_worker(ctx, ground, detected_comm_of):
-    """Ring pair counting under a once-per-pair ownership rule.
-
-    Pairs with both nodes in this worker's ground shard are counted locally
-    from exact cell identities.  For a cross-shard pair the worker owning the
-    smaller ground community id counts it, using per-detected-label prefix
-    sums over its own cells, so remote rounds contribute only to a01/a00.
-    """
-    w, p = ctx.num_workers, ctx.worker_id
-    with ctx.compute():
-        gshard = shard(ground, w, p)
-        # my nodes as (ground id, detected label) columns
-        if len(gshard):
-            g_col = np.repeat(gshard.comm_ids, gshard.sizes)
-            d_col = detected_comm_of[np.concatenate(gshard.communities)]
-        else:
-            g_col = np.empty(0, dtype=np.int64)
-            d_col = np.empty(0, dtype=np.int64)
-
-        a11 = a10 = a01 = a00 = 0
-        # exact cell counts (g, d) -> n_gd for my shard
-        if g_col.size:
-            width = int(d_col.max()) + 1
-            uniq, cell_cnt = np.unique(g_col * width + d_col, return_counts=True)
-            cell_g = uniq // width
-            cell_d = uniq % width
-            a11 = _choose2(cell_cnt.tolist())
-            row_pairs = _choose2(gshard.sizes.tolist())
-            a10 = row_pairs - a11
-            # same-detected pairs across two of my ground communities
-            my_total = int(g_col.size)
-            same_d_within = 0
-            for d in np.unique(cell_d).tolist():
-                seg = cell_cnt[cell_d == d]
-                t = int(seg.sum())
-                same_d_within += (t * t - int((seg * seg).sum())) // 2
-            cross_within = (my_total * my_total - int((gshard.sizes ** 2).sum())) // 2
-            a01 = same_d_within
-            a00 = cross_within - same_d_within
-            # prefix structures for the ownership rule (my g < foreign g)
-            my_g_ids = gshard.comm_ids
-            cum_all = np.zeros(my_g_ids.size + 1, dtype=np.int64)
-            np.cumsum(gshard.sizes, out=cum_all[1:])
-            per_d = {}
-            order = np.lexsort((cell_g, cell_d))
-            dg, gg, cc = cell_d[order], cell_g[order], cell_cnt[order]
-            starts = np.flatnonzero(np.diff(dg)) + 1
-            for seg_d, seg_g, seg_c in zip(
-                    np.split(dg, starts), np.split(gg, starts), np.split(cc, starts)):
-                cum = np.zeros(seg_g.size + 1, dtype=np.int64)
-                np.cumsum(seg_c, out=cum[1:])
-                per_d[int(seg_d[0])] = (seg_g, cum)
-        else:
-            my_g_ids = np.empty(0, dtype=np.int64)
-            cum_all = np.zeros(1, dtype=np.int64)
-            per_d = {}
-
-        # my records: per ground community, the detected labels of its members
-        records = []
-        for gid, members in zip(gshard.comm_ids.tolist(), gshard.communities):
-            records.append((gid, detected_comm_of[members]))
-
-    for _origin, foreign in ctx.circulate(records):
-        with ctx.compute():
-            for gid, labels in foreign:
-                # nodes of mine in ground communities with id < foreign gid
-                sel = int(cum_all[np.searchsorted(my_g_ids, gid)])
-                if sel == 0:
-                    continue
-                same = 0
-                uniq_d, cnt_d = np.unique(labels, return_counts=True)
-                for d, c in zip(uniq_d.tolist(), cnt_d.tolist()):
-                    seg = per_d.get(d)
-                    if seg is not None:
-                        seg_g, cum = seg
-                        same += c * int(cum[np.searchsorted(seg_g, gid)])
-                a01 += same
-                a00 += labels.size * sel - same
-    return {"a11": a11, "a10": a10, "a01": a01, "a00": a00}
-
-
-def _require_full_coverage(ground, detected):
-    gmap = ground.node_map()
-    dmap = detected.node_map()
-    gc, dc = gmap.covered_nodes(), dmap.covered_nodes()
-    if not np.array_equal(gc, dc):
-        raise ValueError("partitions cover different node sets")
-    if gc.size != ground.universe_size:
-        raise ValueError("pair metrics require full universe coverage")
-    return gmap, dmap
-
-
 def run_pair_metrics(ground, detected, config=None, method="fast"):
     """Pair confusion counts and the Rand, adjusted Rand, Jaccard indices.
 
     ``method="bruteforce"`` switches the seq and shm backends to the striped
-    all-pairs scan (the ring backend has its own record-circulation scheme
-    and rejects it).
+    all-pairs scan (the ring backend rejects it).
     """
     config = config or BackendConfig()
     _check_universe(ground, detected)
     if method not in ("fast", "bruteforce"):
         raise ValueError(f"unknown pair-counting method {method!r}")
-    gmap, dmap = _require_full_coverage(ground, detected)
+    gmap, dmap = ground.node_map(), detected.node_map()
+    covered_labels(gmap, dmap)
     n = ground.universe_size
 
     if config.backend == SEQ:
@@ -379,7 +258,9 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
             counts = pair_counts_fast(build_contingency(ground, detected))
         return _pair_result(counts), _sequential_timing(time.perf_counter() - t0)
 
-    if config.backend == SHM and method == "bruteforce":
+    if method == "bruteforce":
+        if config.backend == RING:
+            raise ValueError("the ring backend has no brute-force mode")
         out = run_workers(
             _pair_brute_worker, (gmap.comm_of, dmap.comm_of, n),
             config.num_workers, timer_enabled=config.timer_enabled)
@@ -389,28 +270,10 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
                                          payload["a01"], payload["a00"])
         return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
 
-    if config.backend == SHM:
-        out = run_workers(
-            _pair_shm_worker, (ground, dmap.comm_of, detected.sizes),
-            config.num_workers, timer_enabled=config.timer_enabled)
-        a11 = sum(payload["a11"] for payload, _ in out)
-        row_pairs = sum(payload["row_pairs"] for payload, _ in out)
-        col_pairs = sum(payload["col_pairs"] for payload, _ in out)
-        total = n * (n - 1) // 2
-        counts = PairCounts(a11, row_pairs - a11, col_pairs - a11,
-                            total - row_pairs - col_pairs + a11)
-        return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
-
-    if method == "bruteforce":
-        raise ValueError("the ring backend has no brute-force mode")
-    out = run_workers(
-        _pair_ring_worker, (ground, dmap.comm_of), config.num_workers,
-        ring=True, channel_capacity=config.channel_capacity,
-        timer_enabled=config.timer_enabled)
-    counts = PairCounts(0, 0, 0, 0)
-    for payload, _stats in out:
-        counts = counts + PairCounts(payload["a11"], payload["a10"],
-                                     payload["a01"], payload["a00"])
+    out = _run_family(_pair_worker, (ground, detected, dmap.comm_of), config)
+    a11, row_pairs, col_pairs = (sum(payload[key] for payload, _ in out)
+                                 for key in ("a11", "row_pairs", "col_pairs"))
+    counts = PairCounts.from_pair_totals(a11, row_pairs, col_pairs, n)
     return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
 
 
@@ -428,64 +291,26 @@ def _pair_result(counts):
 # ---------------------------------------------------------------------------
 
 
-def _intrinsic_worker(ctx, network, partition, use_subgraph):
+def _intrinsic_worker(ctx, network, partition, comm_of):
     w, p = ctx.num_workers, ctx.worker_id
     m = network.edge_count
-    sizes = partition.sizes
     with ctx.compute():
-        own_ids = list(range(p, len(partition.communities), w))
-        if use_subgraph and w > 1:
-            sh = shard(partition, w, p)
+        sh = shard(partition, w, p)
+        ids = sh.comm_ids.tolist()
+        if ctx.ring_enabled:
+            # distributed memory: only the edges incident to own members
             sub = local_subgraph(network, sh)
-            if sub.node_count:
-                comm_of_sub = _scatter_comm_of(partition, network.node_count)[sub.orig_ids]
-                stats = []
-                for gid, members in zip(sh.comm_ids.tolist(), sh.communities):
-                    local = np.searchsorted(sub.orig_ids, members)
-                    stats.append(_stats_one(sub, comm_of_sub, gid, local))
-            else:
-                stats = []
+            local = [np.searchsorted(sub.orig_ids, members)
+                     for members in sh.communities]
+            stats = stats_from_labels(sub, comm_of[sub.orig_ids], ids, local)
         else:
-            stats = community_stats(network, partition, community_ids=own_ids)
-        q_part = modularity(stats, m) if stats else 0.0
-        qds_part = modularity_density(stats, m, sizes=sizes) if stats else 0.0
-        ids = np.array([s.community_id for s in stats], dtype=np.int64)
-        size_arr = np.array([s.size for s in stats], dtype=np.int64)
-        in_arr = np.array([s.in_edges for s in stats], dtype=np.int64)
-        out_arr = np.array([s.out_edges for s in stats], dtype=np.int64)
-        un_arr = np.array([s.unassigned_edges for s in stats], dtype=np.int64)
+            stats = stats_from_labels(network, comm_of, ids, sh.communities)
+        q_terms = modularity_terms(stats, m)
+        qds_terms = modularity_density_terms(stats, m, sizes=partition.sizes)
+        counts = np.array([(s.size, s.in_edges, s.out_edges, s.unassigned_edges)
+                           for s in stats], dtype=np.int64).reshape(-1, 4)
     # communication free even on the ring backend: no circulation is opened
-    return {"q": q_part, "qds": qds_part, "ids": ids, "size": size_arr,
-            "in_edges": in_arr, "out_edges": out_arr, "unassigned": un_arr}
-
-
-def _scatter_comm_of(partition, node_count):
-    comm_of = np.full(node_count, -1, dtype=np.int64)
-    for k, members in enumerate(partition.communities):
-        comm_of[members] = k
-    return comm_of
-
-
-def _stats_one(network, comm_of, community_id, members_local):
-    from ..intrinsic_metrics import _concat_ranges
-    idx = _concat_ranges(network.indptr[members_local],
-                         network.indptr[members_local + 1])
-    labels = comm_of[network.indices[idx]]
-    internal_ends = int(np.count_nonzero(labels == community_id))
-    unassigned = int(np.count_nonzero(labels == -1))
-    cross = labels[(labels != community_id) & (labels >= 0)]
-    pairs = {}
-    if cross.size:
-        ids, cnts = np.unique(cross, return_counts=True)
-        pairs = {int(i): int(c) for i, c in zip(ids, cnts)}
-    return CommunityStats(
-        community_id=int(community_id),
-        size=int(members_local.size),
-        in_edges=internal_ends // 2,
-        out_edges=int(labels.size - internal_ends),
-        neighbor_edges=pairs,
-        unassigned_edges=unassigned,
-    )
+    return {"ids": sh.comm_ids, "q": q_terms, "qds": qds_terms, "counts": counts}
 
 
 def run_intrinsic_metrics(network, partition, config=None):
@@ -501,29 +326,19 @@ def run_intrinsic_metrics(network, partition, config=None):
         report = intrinsic_report(network, partition)
         return report, _sequential_timing(time.perf_counter() - t0)
 
-    out = run_workers(
-        _intrinsic_worker,
-        (network, partition, config.backend == RING),
-        config.num_workers,
-        ring=config.backend == RING,
-        channel_capacity=config.channel_capacity,
-        timer_enabled=config.timer_enabled,
-    )
-    q = sum(payload["q"] for payload, _ in out)
-    qds = sum(payload["qds"] for payload, _ in out)
-    ids = np.concatenate([payload["ids"] for payload, _ in out])
-    size = np.concatenate([payload["size"] for payload, _ in out])
-    inn = np.concatenate([payload["in_edges"] for payload, _ in out])
-    outd = np.concatenate([payload["out_edges"] for payload, _ in out])
-    una = np.concatenate([payload["unassigned"] for payload, _ in out])
-    order = np.argsort(ids)
+    out = _run_family(
+        _intrinsic_worker, (network, partition, node_labels(network, partition)),
+        config)
+    order = np.argsort(np.concatenate([payload["ids"] for payload, _ in out]))
+    q_terms, qds_terms, counts = (
+        np.concatenate([payload[key] for payload, _ in out])[order]
+        for key in ("q", "qds", "counts"))
     stats = [
-        CommunityStats(int(ids[i]), int(size[i]), int(inn[i]), int(outd[i]),
-                       neighbor_edges={}, unassigned_edges=int(una[i]))
-        for i in order
+        CommunityStats(k, size, inn, outd, neighbor_edges={}, unassigned_edges=una)
+        for k, (size, inn, outd, una) in enumerate(counts.tolist())
     ]
     report = IntrinsicReport(
-        q=q, qds=qds, total_edges=network.edge_count,
-        rows=community_measures(stats),
+        q=math.fsum(q_terms), qds=math.fsum(qds_terms),
+        total_edges=network.edge_count, rows=community_measures(stats),
     )
     return report, PhaseTiming.from_workers([s for _, s in out])

@@ -277,10 +277,9 @@ class Partition:
         return int(max(c[-1] for c in self.communities) + 1)
 
     def node_map(self):
-        comm_of = np.full(self.label_space, -1, dtype=np.int64)
-        for k, members in enumerate(self.communities):
-            comm_of[members] = k
-        return NodeCommunityMap(comm_of, self.universe_size)
+        return NodeCommunityMap(
+            scatter_labels(range(len(self.communities)), self.communities),
+            self.universe_size)
 
     @classmethod
     def from_node_map(cls, node_map):
@@ -299,6 +298,16 @@ class Partition:
         if present[0] != 0 or present[-1] != len(groups) - 1:
             raise ValueError("community ids are not contiguous from 0")
         return cls(groups, node_map.universe_size)
+
+
+def scatter_labels(comm_ids, communities):
+    """Node label -> community id array over the labels the communities use,
+    -1 for labels in no community.  Member arrays must be sorted."""
+    comm_of = np.full(max(int(c[-1]) for c in communities) + 1, -1,
+                      dtype=np.int64)
+    for k, members in zip(comm_ids, communities):
+        comm_of[members] = k
+    return comm_of
 
 
 def parse_community_lines(stream):
@@ -402,29 +411,39 @@ def build_contingency(ground, detected):
     Runs in O(n log n) over covered nodes.  Returns a
     :class:`~commqual.info_metrics.ContingencyTable`.
     """
-    from .info_metrics import ContingencyTable
-
     if ground.universe_size != detected.universe_size:
         raise ValueError("partitions declare different universe sizes")
-    g = ground.node_map().comm_of
-    d = detected.node_map().comm_of
-    width = max(g.size, d.size)
-    if g.size < width:
-        g = np.concatenate([g, np.full(width - g.size, -1, dtype=np.int64)])
-    if d.size < width:
-        d = np.concatenate([d, np.full(width - d.size, -1, dtype=np.int64)])
+    return contingency_rows(ground, detected.node_map().comm_of, detected.sizes)
 
-    both = (g >= 0) & (d >= 0)
-    ncols = len(detected.communities)
-    keys = g[both] * ncols + d[both]
-    uniq, counts = np.unique(keys, return_counts=True)
-    rows = (uniq // ncols).astype(np.int64)
-    cols = (uniq % ncols).astype(np.int64)
+
+def contingency_rows(rows, col_of, col_sizes, num_workers=1, worker_id=0):
+    """Contingency cells of the rows ``worker_id::num_workers`` of ``rows``.
+
+    ``col_of`` maps a node label to its column (detected community) id, with
+    -1 or a label past its end meaning unassigned; ``col_sizes`` are the
+    column marginals.  One sort over ``row * num_cols + column`` gives those
+    rows' cells in (row, column) order, exactly as :func:`build_contingency`
+    lists them, so a per-row reduction of a row slice repeats the full
+    table's arithmetic.  The table keeps the full marginals.
+    """
+    from .info_metrics import ContingencyTable
+
+    own = shard(rows, num_workers, worker_id)
+    members = (np.concatenate(own.communities) if len(own)
+               else np.empty(0, dtype=np.int64))
+    row_of = np.repeat(own.comm_ids, own.sizes)
+    cols = np.full(members.size, -1, dtype=np.int64)
+    inside = members < col_of.size
+    cols[inside] = col_of[members[inside]]
+    both = cols >= 0
+    ncols = len(col_sizes)
+    uniq, counts = np.unique(row_of[both] * ncols + cols[both],
+                             return_counts=True)
     return ContingencyTable(
-        rows=rows,
-        cols=cols,
+        rows=uniq // ncols,
+        cols=uniq % ncols,
         counts=counts.astype(np.int64),
-        row_sizes=ground.sizes.copy(),
-        col_sizes=detected.sizes.copy(),
-        universe_size=ground.universe_size,
+        row_sizes=rows.sizes.copy(),
+        col_sizes=np.array(col_sizes, dtype=np.int64),
+        universe_size=rows.universe_size,
     )

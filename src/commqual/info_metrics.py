@@ -56,12 +56,28 @@ class ContingencyTable:
         )
 
 
-def _row_grouped_sum(rows, terms, num_rows):
+def _row_sums(table, terms):
     # accumulate per row, then across rows: keeps rounding independent of
-    # how many cells a single large community contributes
-    partial = np.zeros(num_rows)
-    np.add.at(partial, rows, terms)
-    return float(partial.sum())
+    # how many cells a single large community contributes, and lets a row
+    # slice of the table reproduce its rows' sums exactly
+    partial = np.zeros(table.num_rows)
+    np.add.at(partial, table.rows, terms)
+    return partial
+
+
+def vi_row_terms(table):
+    """Per-row sums of the VI cell terms n_ij log(n_ij^2 / (|c_i| |c'_j|))."""
+    ov = table.counts.astype(np.float64)
+    denom = table.row_sizes[table.rows] * table.col_sizes[table.cols]
+    return _row_sums(table, ov * np.log(ov * ov / denom))
+
+
+def mi_row_terms(table):
+    """Per-row sums of the MI cell terms (n_ij/n) log(n n_ij / (|c_i| |c'_j|))."""
+    n = table.universe_size
+    ov = table.counts.astype(np.float64)
+    denom = table.row_sizes[table.rows] * table.col_sizes[table.cols]
+    return _row_sums(table, (ov / n) * np.log(ov * n / denom))
 
 
 def variation_of_information(table):
@@ -73,21 +89,14 @@ def variation_of_information(table):
     n = table.universe_size
     if n <= 0:
         raise ValueError("empty universe")
-    ov = table.counts.astype(np.float64)
-    denom = table.row_sizes[table.rows] * table.col_sizes[table.cols]
-    terms = ov * np.log(ov * ov / denom)
-    return -_row_grouped_sum(table.rows, terms, table.num_rows) / n
+    return -float(vi_row_terms(table).sum()) / n
 
 
 def mutual_information(table):
     """I(C, C') in nats, from the same overlap table."""
-    n = table.universe_size
-    if n <= 0:
+    if table.universe_size <= 0:
         raise ValueError("empty universe")
-    ov = table.counts.astype(np.float64)
-    denom = table.row_sizes[table.rows] * table.col_sizes[table.cols]
-    terms = (ov / n) * np.log(ov * n / denom)
-    return _row_grouped_sum(table.rows, terms, table.num_rows)
+    return float(mi_row_terms(table).sum())
 
 
 def partition_entropy(sizes, universe_size):

@@ -10,6 +10,7 @@ contributions in a different grouping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,24 +88,35 @@ def _concat_ranges(starts, ends):
     return starts[seg] + pos
 
 
+def node_labels(network, partition):
+    """Dense node id -> community id over the whole network; -1 unassigned."""
+    if partition.label_space > network.node_count:
+        raise ValueError("partition references nodes beyond the network")
+    comm_of = np.full(network.node_count, -1, dtype=np.int64)
+    assigned = partition.node_map().comm_of
+    comm_of[:assigned.size] = assigned
+    return comm_of
+
+
 def community_stats(network, partition, community_ids=None):
     """Gather :class:`CommunityStats` for the given community ids (default all).
 
     One vectorized pass per community over its incident adjacency rows, so the
     cost is proportional to the total degree of the communities requested.
     """
-    if partition.label_space > network.node_count:
-        raise ValueError("partition references nodes beyond the network")
-    comm_of = np.full(network.node_count, -1, dtype=np.int64)
-    for k, members in enumerate(partition.communities):
-        comm_of[members] = k
-
+    comm_of = node_labels(network, partition)
     if community_ids is None:
         community_ids = range(len(partition.communities))
+    return stats_from_labels(network, comm_of, community_ids,
+                             [partition.communities[k] for k in community_ids])
 
+
+def stats_from_labels(network, comm_of, community_ids, communities):
+    """:class:`CommunityStats` of each community ``community_ids[i]`` with
+    members ``communities[i]``, given as dense ids of ``network`` whose nodes
+    carry the community ids ``comm_of``."""
     out = []
-    for k in community_ids:
-        members = partition.communities[k]
+    for k, members in zip(community_ids, communities):
         idx = _concat_ranges(network.indptr[members], network.indptr[members + 1])
         labels = comm_of[network.indices[idx]]
         internal_ends = int(np.count_nonzero(labels == k))
@@ -125,15 +137,40 @@ def community_stats(network, partition, community_ids=None):
     return out
 
 
-def modularity(stats, total_edges):
-    """Q = sum_c [ in_c/m - ((2 in_c + out_c) / 2m)^2 ]."""
+def modularity_terms(stats, total_edges):
+    """Per-community Q terms in_c/m - ((2 in_c + out_c) / 2m)^2, in ``stats``
+    order."""
     if total_edges <= 0:
         raise ValueError("network has no edges")
     m = float(total_edges)
-    q = 0.0
-    for s in stats:
-        q += s.in_edges / m - ((2 * s.in_edges + s.out_edges) / (2 * m)) ** 2
-    return q
+    return np.array([s.in_edges / m - ((2 * s.in_edges + s.out_edges) / (2 * m)) ** 2
+                     for s in stats], dtype=np.float64)
+
+
+def modularity(stats, total_edges):
+    """Q = sum_c [ in_c/m - ((2 in_c + out_c) / 2m)^2 ], summed exactly
+    rounded so the result does not depend on how communities are grouped."""
+    return math.fsum(modularity_terms(stats, total_edges))
+
+
+def modularity_density_terms(stats, total_edges, sizes=None):
+    """Per-community terms of :func:`modularity_density`, in ``stats`` order."""
+    if total_edges <= 0:
+        raise ValueError("network has no edges")
+    if sizes is None:
+        sizes = {s.community_id: s.size for s in stats}
+    m = float(total_edges)
+    terms = np.zeros(len(stats))
+    for i, s in enumerate(stats):
+        nc = s.size
+        d_c = 2.0 * s.in_edges / (nc * (nc - 1)) if nc > 1 else 0.0
+        term = s.in_edges / m * d_c
+        term -= ((2 * s.in_edges + s.out_edges) / (2 * m) * d_c) ** 2
+        for j, e_cc in s.neighbor_edges.items():
+            d_cc = e_cc / (nc * float(sizes[j]))
+            term -= e_cc / (2 * m) * d_cc
+        terms[i] = term
+    return terms
 
 
 def modularity_density(stats, total_edges, sizes=None):
@@ -143,26 +180,13 @@ def modularity_density(stats, total_edges, sizes=None):
     pair density and subtracts, per neighboring community, the product of
     shared edge fraction and cross-pair density.  ``sizes`` maps community id
     to size and is required when ``stats`` does not cover all communities;
-    single-node communities have internal density 0 by convention.
+    single-node communities have internal density 0 by convention.  Terms are
+    summed exactly rounded, as in :func:`modularity`.
     """
-    if total_edges <= 0:
-        raise ValueError("network has no edges")
-    if sizes is None:
-        sizes = {s.community_id: s.size for s in stats}
-    m = float(total_edges)
-    total = 0.0
-    for s in stats:
-        nc = s.size
-        d_c = 2.0 * s.in_edges / (nc * (nc - 1)) if nc > 1 else 0.0
-        total += s.in_edges / m * d_c
-        total -= ((2 * s.in_edges + s.out_edges) / (2 * m) * d_c) ** 2
-        for j, e_cc in s.neighbor_edges.items():
-            d_cc = e_cc / (nc * float(sizes[j]))
-            total -= e_cc / (2 * m) * d_cc
-    return total
+    return math.fsum(modularity_density_terms(stats, total_edges, sizes))
 
 
-def community_measures(stats, _total_edges=None):
+def community_measures(stats):
     """Expand stats into the six per-community measures."""
     rows = []
     for s in stats:

@@ -6,15 +6,14 @@ Both reduce to three per-community maxima over the overlap table:
 * ``max_t[i]``      = max_j |c_i ∩ c'_j|   (best match of a ground community)
 * ``max_d[j]``      = max_i |c_i ∩ c'_j|   (best match of a detected community)
 
-Maxima can be accumulated from any sequence of shard pairs, which is what the
-parallel engine does; merging per-worker copies is an element-wise max.
+The parallel engine computes them from row slices of the table: each slice
+gives the exact row maxima of its rows and a partial column maximum, and
+merging per-worker copies is an element-wise max.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._overlap import group_from_shard, overlap_row
 
 
 class MatchMaxima:
@@ -33,9 +32,6 @@ class MatchMaxima:
             np.zeros(num_detected, dtype=np.int64),
         )
 
-    def copy(self):
-        return MatchMaxima(self.max_normed.copy(), self.max_t.copy(), self.max_d.copy())
-
     def merge(self, other):
         return MatchMaxima(
             np.maximum(self.max_normed, other.max_normed),
@@ -53,29 +49,6 @@ class MatchMaxima:
             np.maximum.at(m.max_t, table.rows, table.counts)
             np.maximum.at(m.max_d, table.cols, table.counts)
         return m
-
-
-def update_maxima(maxima, ground_shard, detected_shard):
-    """Fold the overlaps of one (ground shard, detected shard) pair into a copy
-    of ``maxima`` and return it.
-
-    Scanning every such pair exactly once, in any order, yields the same
-    maxima as a single full-partition scan.
-    """
-    out = maxima.copy()
-    if len(detected_shard) == 0 or len(ground_shard) == 0:
-        return out
-    dgroup = group_from_shard(detected_shard)
-    for gid, members in zip(ground_shard.comm_ids, ground_shard.communities):
-        ov = overlap_row(members, dgroup)
-        nz = np.flatnonzero(ov)
-        if nz.size == 0:
-            continue
-        normed = 2.0 * ov[nz] / (members.size + dgroup.sizes[nz])
-        out.max_normed[gid] = max(out.max_normed[gid], float(normed.max()))
-        out.max_t[gid] = max(out.max_t[gid], int(ov[nz].max()))
-        np.maximum.at(out.max_d, dgroup.ids[nz], ov[nz])
-    return out
 
 
 def f_measure(maxima, ground_sizes, universe_size):

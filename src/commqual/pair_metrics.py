@@ -40,8 +40,25 @@ class PairCounts:
     def as_tuple(self):
         return (self.a11, self.a10, self.a01, self.a00)
 
+    @classmethod
+    def from_pair_totals(cls, a11, row_pairs, col_pairs, universe_size):
+        """Counts from a11 and the pairs together in each partition."""
+        total = universe_size * (universe_size - 1) // 2
+        return cls(a11, row_pairs - a11, col_pairs - a11,
+                   total - row_pairs - col_pairs + a11)
 
-def _covered_labels(map1, map2):
+
+def choose2_sum(values):
+    """Exact sum of binomial(x, 2) over an integer array."""
+    return int(sum(x * (x - 1) // 2 for x in values.tolist()))
+
+
+def covered_labels(map1, map2):
+    """Community labels of every node; both maps must cover the full universe.
+
+    Raises ValueError when the maps cover different node sets or leave part
+    of the universe unassigned.
+    """
     c1 = map1.covered_nodes()
     c2 = map2.covered_nodes()
     if not np.array_equal(c1, c2):
@@ -54,7 +71,7 @@ def _covered_labels(map1, map2):
 def pair_counts_bruteforce(map1, map2):
     """Literal double loop over all unordered node pairs.  O(n^2); reference
     implementation for small inputs."""
-    g, d = _covered_labels(map1, map2)
+    g, d = covered_labels(map1, map2)
     gl, dl = g.tolist(), d.tolist()
     n = len(gl)
     a11 = a10 = a01 = a00 = 0
@@ -86,7 +103,7 @@ def pair_counts_striped(map1, map2, num_stripes=1, stripe_id=0):
         raise ValueError("num_stripes must be positive")
     if not 0 <= stripe_id < num_stripes:
         raise ValueError("stripe_id out of range")
-    g, d = _covered_labels(map1, map2)
+    g, d = covered_labels(map1, map2)
     n = g.size
     width = int(d.max()) + 1 if n else 1
     combo = g * width + d
@@ -117,19 +134,9 @@ def pair_counts_fast(table):
     """
     if table.total != table.universe_size:
         raise ValueError("pair counting requires full universe coverage")
-
-    def choose2(arr):
-        return int(sum(x * (x - 1) // 2 for x in arr.tolist()))
-
-    a11 = choose2(table.counts)
-    rows_pairs = choose2(table.row_sizes)
-    cols_pairs = choose2(table.col_sizes)
-    n = table.universe_size
-    total = n * (n - 1) // 2
-    a10 = rows_pairs - a11
-    a01 = cols_pairs - a11
-    a00 = total - a11 - a10 - a01
-    return PairCounts(a11, a10, a01, a00)
+    return PairCounts.from_pair_totals(
+        choose2_sum(table.counts), choose2_sum(table.row_sizes),
+        choose2_sum(table.col_sizes), table.universe_size)
 
 
 def rand_index(counts):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from commqual.bench import GeneratorParams, generate_network, perturb_partition
 from commqual.cli import main
 from conftest import T1_DETECTED, T1_GROUND, T2_COMMUNITIES, T2_EDGES
 
@@ -76,6 +78,34 @@ def test_compare_backend_workers_identical_output(capsys, t1_files):
         assert code == 0
         outputs.append(out)
     assert len(set(outputs)) == 1  # metric output independent of backend
+
+
+def test_csv_output_byte_identical_across_backends(capsys, tmp_path):
+    # floats, not only counts, must not depend on backend or worker count
+    network, ground = generate_network(GeneratorParams(node_count=2000, seed=3))
+    detected = perturb_partition(ground, 0.2, seed=4)
+    edges, gt, det = (tmp_path / name for name in ("net.edges", "gt.cmty", "det.cmty"))
+    src = np.repeat(np.arange(network.node_count), network.degrees())
+    keep = src < network.indices
+    edges.write_text("".join(f"{u} {v}\n" for u, v in
+                             zip(src[keep].tolist(), network.indices[keep].tolist())))
+    for path, part in ((gt, ground), (det, detected)):
+        path.write_text("".join(" ".join(map(str, c.tolist())) + "\n"
+                                for c in part.communities))
+    commands = {
+        "compare": ("compare", "--ground-truth", str(gt), "--detected", str(det)),
+        "quality": ("quality", "--network", str(edges), "--detected", str(det)),
+    }
+    grid = [("seq", 1), ("shm", 2), ("shm", 3), ("ring", 2), ("ring", 3)]
+    for name, argv in commands.items():
+        outputs = {}
+        for backend, workers in grid:
+            code, out, _ = run_cli(capsys, *argv, "--csv", "--backend", backend,
+                                   "--workers", str(workers))
+            assert code == 0, (name, backend, workers)
+            outputs[backend, workers] = out
+        for key, out in outputs.items():
+            assert out == outputs["seq", 1], (name, key)
 
 
 def test_compare_universe_inferred(capsys, t1_files):

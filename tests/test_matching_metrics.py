@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from commqual.graph import build_contingency, shard
-from commqual.matching_metrics import MatchMaxima, f_measure, nvd, update_maxima
+from commqual.graph import build_contingency, contingency_rows
+from commqual.matching_metrics import MatchMaxima, f_measure, nvd
 from conftest import T1_EXPECTED, as_sets, make_partition, random_partition
 import oracles
 
 
-def maxima_via_shards(p1, p2, w1, w2, rng=None):
-    """Fold every (ground shard, detected shard) pair once, shuffled order."""
+def maxima_via_row_slices(p1, p2, w):
+    """Merge the maxima of every worker's row slice, as the engine does."""
+    labels = p2.node_map().comm_of
     m = MatchMaxima.empty(len(p1), len(p2))
-    pairs = [(a, b) for a in range(w1) for b in range(w2)]
-    if rng is not None:
-        rng.shuffle(pairs)
-    for a, b in pairs:
-        m = update_maxima(m, shard(p1, w1, a), shard(p2, w2, b))
+    for p in range(w):
+        m = m.merge(MatchMaxima.from_contingency(
+            contingency_rows(p1, labels, p2.sizes, w, p)))
     return m
 
 
@@ -41,39 +40,39 @@ def test_matches_reference_on_random_pairs():
 
 def test_sharded_scan_equals_table_path():
     rng = np.random.default_rng(27)
-    shuffler = np.random.default_rng(28)
     for _ in range(8):
         n = int(rng.integers(40, 250))
         p1 = random_partition(rng, n, int(rng.integers(2, 14)))
         p2 = random_partition(rng, n, int(rng.integers(2, 14)))
         ref = MatchMaxima.from_contingency(build_contingency(p1, p2))
-        for w1, w2 in [(1, 1), (2, 3), (4, 4)]:
-            m = maxima_via_shards(p1, p2, w1, w2, rng=shuffler)
-            np.testing.assert_allclose(m.max_normed, ref.max_normed, atol=1e-12)
+        for w in (1, 2, 4):
+            m = maxima_via_row_slices(p1, p2, w)
+            np.testing.assert_array_equal(m.max_normed, ref.max_normed)
             np.testing.assert_array_equal(m.max_t, ref.max_t)
             np.testing.assert_array_equal(m.max_d, ref.max_d)
 
 
 def test_update_is_monotone_and_idempotent():
+    # merging maxima with themselves, or with an empty set, changes nothing
     rng = np.random.default_rng(8)
     p1 = random_partition(rng, 100, 5)
     p2 = random_partition(rng, 100, 7)
-    s1, s2 = shard(p1, 1, 0), shard(p2, 1, 0)
-    m1 = update_maxima(MatchMaxima.empty(len(p1), len(p2)), s1, s2)
-    m2 = update_maxima(m1, s1, s2)
-    np.testing.assert_array_equal(m1.max_t, m2.max_t)
-    np.testing.assert_array_equal(m1.max_d, m2.max_d)
-    np.testing.assert_allclose(m1.max_normed, m2.max_normed)
-    assert np.all(m1.max_t >= 0)
+    m = MatchMaxima.from_contingency(build_contingency(p1, p2))
+    for other in (m, MatchMaxima.empty(len(p1), len(p2))):
+        out = m.merge(other)
+        np.testing.assert_array_equal(out.max_t, m.max_t)
+        np.testing.assert_array_equal(out.max_d, m.max_d)
+        np.testing.assert_array_equal(out.max_normed, m.max_normed)
+    assert np.all(m.max_t >= 0)
 
 
 def test_empty_shard_is_identity(t1_ground, t1_detected):
-    m = MatchMaxima.empty(2, 2)
-    m.max_t[:] = [1, 2]
-    empty = shard(t1_detected, 5, 4)
-    out = update_maxima(m, shard(t1_ground, 1, 0), empty)
-    np.testing.assert_array_equal(out.max_t, m.max_t)
-    np.testing.assert_array_equal(out.max_d, m.max_d)
+    # worker 4 of 5 owns none of the two ground rows: no cells, zero maxima
+    table = contingency_rows(t1_ground, t1_detected.node_map().comm_of,
+                             t1_detected.sizes, 5, 4)
+    assert table.counts.size == 0
+    m = MatchMaxima.from_contingency(table)
+    assert m.max_t.tolist() == [0, 0] and m.max_d.tolist() == [0, 0]
 
 
 def test_merge_elementwise_max():
