@@ -12,7 +12,9 @@ nodes of the universe that appear in no community are simply unassigned.
 
 from __future__ import annotations
 
+import io
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,38 @@ class ParseError(ValueError):
 
 class OverlapError(ValueError):
     """A node was listed in more than one community."""
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _sorted_unique(x):
+    """``np.unique(x)`` through one sort and a neighbour mask.
+
+    A plain ``np.unique`` takes a hash-based path on numpy 2.x that is tens of
+    times slower than sorting for large integer arrays; the result is the
+    same flattened, sorted array of distinct values.
+    """
+    s = np.sort(x, axis=None)
+    if s.size == 0:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
+def concat_ranges(starts, ends):
+    """Indices [s0..e0) ++ [s1..e1) ++ ... as one array."""
+    lens = ends - starts
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    seg = np.repeat(np.arange(lens.size), lens)
+    first = np.zeros(lens.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=first[1:])
+    pos = np.arange(total, dtype=np.int64) - first[seg]
+    return starts[seg] + pos
 
 
 # ---------------------------------------------------------------------------
@@ -84,19 +118,16 @@ class Network:
             u, v = u[keep], v[keep]
 
         # canonical orientation, then dedupe on the combined key
-        a = np.minimum(u, v)
-        b = np.maximum(u, v)
-        key = a * node_count + b
-        uniq = np.unique(key)
+        key = np.minimum(u, v) * node_count + np.maximum(u, v)
+        uniq = _sorted_unique(key)
         duplicates = int(key.size - uniq.size)
-        a = (uniq // node_count).astype(np.int64)
-        b = (uniq % node_count).astype(np.int64)
+        a, b = np.divmod(uniq, node_count)
 
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        order = np.lexsort((dst, src))
-        indices = np.ascontiguousarray(dst[order])
-        counts = np.bincount(src, minlength=node_count)
+        # both orientations sorted by (row, column): rows in order, each
+        # row's neighbours ascending
+        both = np.sort(np.concatenate([uniq, b * node_count + a]))
+        indices = both % node_count
+        counts = np.bincount(np.concatenate([a, b]), minlength=node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
 
@@ -131,10 +162,8 @@ class Network:
             return
         src = np.repeat(np.arange(self.node_count), self.degrees())
         assert not np.any(src == self.indices), "self loop present"
-        fwd = np.stack([src, self.indices])
-        rev = np.stack([self.indices, src])
-        f = np.unique(fwd[0] * self.node_count + fwd[1])
-        r = np.unique(rev[0] * self.node_count + rev[1])
+        f = _sorted_unique(src * self.node_count + self.indices)
+        r = _sorted_unique(self.indices * self.node_count + src)
         assert f.size == self.indices.size, "duplicate adjacency entry"
         assert np.array_equal(f, r), "adjacency not symmetric"
 
@@ -142,13 +171,84 @@ class Network:
 def load_edge_list(stream):
     """Parse an edge-list stream: one ``u v`` pair per line.
 
-    Blank lines and lines starting with ``#`` are skipped.  Node ids must be
-    non-negative integers.  Self loops and duplicate edges are dropped with a
-    warning.  Labels are compacted to dense ids; the sorted unique labels are
-    retained in ``orig_ids``.
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped; a ``#`` after data on the same line is an error.  Node ids must
+    be non-negative integers that fit in int64.  Self loops and duplicate
+    edges are dropped with a warning.  Labels are compacted to dense ids; the
+    sorted unique labels are retained in ``orig_ids``.
+
+    ``stream`` is a binary or text file object, or any iterable of lines.
+    A binary stream is read whole and, when well formed, parsed in one pass
+    by ``np.loadtxt``; anything else goes through the line-at-a-time parser,
+    which reports the first bad line.  Both give the same :class:`Network`
+    and the same :class:`ParseError`.
     """
+    edges = None
+    if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
+        data = stream.read()  # binary streams break lines at b"\n" only
+        edges = _loadtxt_edges(data)
+        stream = io.BytesIO(data)
+    if edges is None:
+        edges = _parse_edge_lines(stream)
+
+    labels = _sorted_unique(edges)
+    if labels[-1] >= labels.size:  # labels are not already 0..n-1
+        edges = np.searchsorted(labels, edges)
+    net = Network.from_edge_array(edges[:, 0], edges[:, 1], orig_ids=labels,
+                                  node_count=labels.size)
+    if net.self_loops_dropped:
+        logger.warning("dropped %d self loop(s)", net.self_loops_dropped)
+    if net.duplicates_dropped:
+        logger.warning("dropped %d duplicate edge(s)", net.duplicates_dropped)
+    return net
+
+
+# what ``str.strip``/``str.split`` treat as blank in ASCII text
+_BLANK = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_edges(data):
+    """The ``(k, 2)`` int64 edges of a byte buffer parsed by ``np.loadtxt``,
+    or None where it might disagree with :func:`_parse_edge_lines`: a
+    non-ASCII byte, a bare ``\\r`` (inside a line to the line parser, a break
+    to ``loadtxt``), a ``#`` after data, any error or warning (no data, a
+    float, an id beyond int64), a row without exactly two ids, or a negative
+    id."""
+    if (not data.isascii()
+            or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
+            or not _comments_lead_lines(data)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#",
+                               ndmin=2)
+    except (ValueError, OverflowError, Warning):  # the line parser names it
+        return None
+    if edges.shape[0] == 0 or edges.shape[1] != 2 or edges.min() < 0:
+        return None
+    return edges
+
+
+def _comments_lead_lines(data):
+    """True when every ``#`` has only blanks before it on its line."""
+    pos = data.find(b"#")
+    while pos >= 0:
+        start = data.rfind(b"\n", 0, pos) + 1
+        if data[start:pos].strip(_BLANK):
+            return False
+        end = data.find(b"\n", pos)
+        if end < 0:
+            return True
+        pos = data.find(b"#", end)
+    return True
+
+
+def _parse_edge_lines(lines):
+    """The ``(k, 2)`` int64 edges of an iterable of lines, one at a time;
+    raises :class:`ParseError` naming the first bad line."""
     us, vs = [], []
-    for lineno, raw in enumerate(stream, 1):
+    for lineno, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
             raw = raw.decode("ascii", errors="replace")
         line = raw.strip()
@@ -163,25 +263,14 @@ def load_edge_list(stream):
             raise ParseError(f"line {lineno}: non-integer node id in {line!r}") from None
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative node id in {line!r}")
+        if u > _INT64_MAX or v > _INT64_MAX:
+            raise ParseError(f"line {lineno}: node id beyond int64 in {line!r}")
         us.append(u)
         vs.append(v)
     if not us:
         raise ParseError("no edges found in input")
-
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
-    labels = np.unique(np.concatenate([u, v]))
-    net = Network.from_edge_array(
-        np.searchsorted(labels, u),
-        np.searchsorted(labels, v),
-        orig_ids=labels,
-        node_count=labels.size,
-    )
-    if net.self_loops_dropped:
-        logger.warning("dropped %d self loop(s)", net.self_loops_dropped)
-    if net.duplicates_dropped:
-        logger.warning("dropped %d duplicate edge(s)", net.duplicates_dropped)
-    return net
+    return np.column_stack([np.array(us, dtype=np.int64),
+                            np.array(vs, dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +415,8 @@ def parse_community_lines(stream):
             raise ParseError(f"line {lineno}: non-integer node id") from None
         if any(m < 0 for m in members):
             raise ParseError(f"line {lineno}: negative node id")
+        if max(members) > _INT64_MAX:
+            raise ParseError(f"line {lineno}: node id beyond int64")
         comms.append(members)
     if not comms:
         raise ParseError("no communities found in input")
@@ -389,12 +480,11 @@ def local_subgraph(network, shard_obj):
         empty = np.empty(0, dtype=np.int64)
         return Network(0, 0, np.zeros(1, dtype=np.int64), empty, empty)
 
-    counts = network.indptr[own + 1] - network.indptr[own]
-    src = np.repeat(own, counts)
-    gather = [network.indices[network.indptr[v]:network.indptr[v + 1]] for v in own]
-    dst = np.concatenate(gather) if gather else np.empty(0, dtype=np.int64)
+    starts, ends = network.indptr[own], network.indptr[own + 1]
+    src = np.repeat(own, ends - starts)
+    dst = network.indices[concat_ranges(starts, ends)]
 
-    nodes = np.unique(np.concatenate([own, dst]))
+    nodes = _sorted_unique(np.concatenate([own, dst]))
     u = np.searchsorted(nodes, src)
     v = np.searchsorted(nodes, dst)
     return Network.from_edge_array(u, v, orig_ids=nodes, node_count=nodes.size)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import concat_ranges
+
 
 @dataclass
 class CommunityStats:
@@ -75,19 +77,6 @@ class IntrinsicReport:
         return {name: val / k for name, val in acc.items()}
 
 
-def _concat_ranges(starts, ends):
-    # indices [s0..e0) ++ [s1..e1) ++ ... as one array
-    lens = ends - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg = np.repeat(np.arange(lens.size), lens)
-    first = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=first[1:])
-    pos = np.arange(total, dtype=np.int64) - first[seg]
-    return starts[seg] + pos
-
-
 def node_labels(network, partition):
     """Dense node id -> community id over the whole network; -1 unassigned."""
     if partition.label_space > network.node_count:
@@ -117,7 +106,7 @@ def stats_from_labels(network, comm_of, community_ids, communities):
     carry the community ids ``comm_of``."""
     out = []
     for k, members in zip(community_ids, communities):
-        idx = _concat_ranges(network.indptr[members], network.indptr[members + 1])
+        idx = concat_ranges(network.indptr[members], network.indptr[members + 1])
         labels = comm_of[network.indices[idx]]
         internal_ends = int(np.count_nonzero(labels == k))
         unassigned = int(np.count_nonzero(labels == -1))

@@ -142,3 +142,37 @@ def modularity_density_reference(edges, communities):
         for j, e in nbrs.items():
             total -= (e / (2 * m)) * (e / (size * stats[j][0]))
     return total
+
+
+def network_reference(pairs):
+    """CSR of an undirected edge list of labels, as a dict of the
+    :class:`~commqual.graph.Network` fields: labels compacted in sorted
+    order, self loops and repeated edges (either orientation) dropped and
+    counted, each row's neighbours ascending."""
+    labels = sorted({x for pair in pairs for x in pair})
+    dense = {label: i for i, label in enumerate(labels)}
+    edges = set()
+    loops = 0
+    for u, v in pairs:
+        if u == v:
+            loops += 1
+        else:
+            a, b = dense[u], dense[v]
+            edges.add((min(a, b), max(a, b)))
+    rows = [[] for _ in labels]
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
+    indptr, indices = [0], []
+    for row in rows:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
+    return {
+        "node_count": len(labels),
+        "edge_count": len(edges),
+        "indptr": indptr,
+        "indices": indices,
+        "orig_ids": labels,
+        "self_loops_dropped": loops,
+        "duplicates_dropped": len(pairs) - loops - len(edges),
+    }

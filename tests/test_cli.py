@@ -199,6 +199,43 @@ def test_quality_unknown_node(capsys, t2_files, tmp_path):
     assert "99" in err
 
 
+def test_quality_unknown_node_message(capsys, t2_files, tmp_path):
+    # the first unknown label of the per-line sorted members, in file order
+    edges, _ = t2_files
+    cmty = tmp_path / "bad.cmty"
+    cmty.write_text("1 2 3\n98 4 97 4\n5 6 42\n")
+    code, out, err = run_cli(capsys, "quality", "--network", str(edges),
+                             "--detected", str(cmty))
+    assert code == 2
+    assert out == ""
+    assert err == "error: node 97 not present in the network\n"
+
+
+def test_quality_id_beyond_int64(capsys, tmp_path):
+    edges = tmp_path / "net.edges"
+    edges.write_text("1 2\n99999999999999999999 1\n")
+    cmty = tmp_path / "comm.cmty"
+    cmty.write_text("1 2\n")
+    code, out, err = run_cli(capsys, "quality", "--network", str(edges),
+                             "--detected", str(cmty))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: line 2: node id beyond int64 in "
+                   "'99999999999999999999 1'\n")
+
+
+def test_compare_id_beyond_int64(capsys, tmp_path):
+    bad = tmp_path / "bad.cmty"
+    bad.write_text("# header\n1 2\n3 99999999999999999999\n")
+    good = tmp_path / "good.cmty"
+    good.write_text("1 2 3\n")
+    code, out, err = run_cli(capsys, "compare", "--ground-truth", str(good),
+                             "--detected", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: node id beyond int64\n"
+
+
 def test_generate_and_roundtrip(capsys, tmp_path):
     prefix = str(tmp_path / "synth")
     code, out, _ = run_cli(capsys, "generate", "--nodes", "500",

@@ -1,13 +1,16 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from commqual.graph import (
-    Network, OverlapError, ParseError, Partition, build_contingency,
-    load_communities, load_edge_list, local_subgraph, shard,
+    Network, OverlapError, ParseError, Partition, _loadtxt_edges,
+    _sorted_unique, build_contingency, load_communities, load_edge_list,
+    local_subgraph, shard,
 )
 from conftest import random_graph, random_partition, t2_network, t2_partition
+from oracles import network_reference
 
 
 def test_edge_list_basic():
@@ -39,6 +42,90 @@ def test_edge_list_bytes_stream():
 def test_edge_list_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         load_edge_list(io.StringIO(text))
+
+
+# 50,000 good lines, so a bad line lands deep in the file at line 50,001
+_DEEP = "".join(f"{i} {3 * i + 1}\n" for i in range(50_000))
+
+
+def _load_quietly(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may escape either path
+        return load_edge_list(io.BytesIO(data))
+
+
+def _assert_matches_reference(net, data):
+    pairs = [tuple(map(int, line.split())) for line in data.decode().splitlines()
+             if line.strip() and not line.strip().startswith("#")]
+    for field, value in network_reference(pairs).items():
+        actual = getattr(net, field)
+        assert (actual.tolist() if hasattr(actual, "tolist") else actual) == value, field
+
+
+@pytest.mark.parametrize("tail,message", [
+    ("1 2 3\n", "line 50001: expected two node ids, got '1 2 3'"),
+    ("1 x\n", "line 50001: non-integer node id in '1 x'"),
+    ("1 -2\n", "line 50001: negative node id in '1 -2'"),
+    ("1 2 # c\n", "line 50001: expected two node ids, got '1 2 # c'"),
+    ("1 2\r3 4\n", "line 50001: expected two node ids, got '1 2\\r3 4'"),
+    ("99999999999999999999 1\n",
+     "line 50001: node id beyond int64 in '99999999999999999999 1'"),
+])
+def test_edge_list_deep_bad_line(tail, message):
+    data = (_DEEP + tail + "7 8\n").encode()
+    assert _loadtxt_edges(data) is None
+    with pytest.raises(ParseError) as info:
+        _load_quietly(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    _DEEP.replace("\n", "\r\n") + "7 8\r\n",  # CRLF
+    _DEEP + "7 8",  # no final newline
+    _DEEP + "  # c 1 2\n\t#\n\n7 8\n",  # comments and a blank line deep down
+])
+def test_edge_list_deep_good_input_takes_fast_path(text):
+    data = text.encode()
+    assert _loadtxt_edges(data) is not None
+    _assert_matches_reference(_load_quietly(data), data)
+
+
+def test_edge_list_only_comments():
+    data = b"# a\n" * 50_001
+    with pytest.raises(ParseError, match="^no edges found in input$"):
+        _load_quietly(data)
+
+
+def test_edge_list_int64_edges():
+    net = load_edge_list(io.StringIO(f"0 {2**63 - 1}\n"))
+    assert net.orig_ids.tolist() == [0, 2**63 - 1]
+    with pytest.raises(ParseError, match="^line 2: node id beyond int64 in "):
+        load_edge_list(io.StringIO(f"0 1\n0 {2**63}\n"))
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(9)
+    for x in (np.empty(0, dtype=np.int64), np.array([5]),
+              rng.integers(-50, 50, size=(300, 2)), rng.integers(0, 10**12, 1000)):
+        got = _sorted_unique(x)
+        assert got.dtype == x.dtype
+        assert np.array_equal(got, np.unique(x))
+
+
+def test_from_edge_array_matches_reference():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 30, 200):
+        u = rng.integers(0, n, size=4 * n)
+        v = rng.integers(0, n, size=4 * n)
+        net = Network.from_edge_array(u, v, node_count=n)
+        # a self loop at every node keeps the reference's labels at 0..n-1
+        pairs = list(zip(u.tolist(), v.tolist()))
+        ref = network_reference(pairs + [(x, x) for x in range(n)])
+        assert net.indptr.tolist() == ref["indptr"]
+        assert net.indices.tolist() == ref["indices"]
+        assert net.duplicates_dropped == ref["duplicates_dropped"]
+        assert net.self_loops_dropped == int(np.count_nonzero(u == v))
+        net.validate()
 
 
 def test_csr_invariants_random():
