@@ -7,9 +7,10 @@ worker p builds for the ground rows ``p::w`` with
 sequential path applies to the whole table.  The backends differ only in
 where a worker's node -> detected label array comes from: ``shm`` workers
 read the parent's copy-on-write, ``ring`` workers scatter their own detected
-shard and each shard received over the ring.  The intrinsic family computes
-per-community statistics from the full network (``shm``) or from the
-subgraph around the worker's own communities (``ring``), with no messages.
+shard and each shard received over the ring.  The intrinsic family runs
+:func:`~commqual.intrinsic_metrics.stats_from_labels` on the CSR rows of
+communities ``p::w`` of the shared network under both ``shm`` and ``ring``:
+no subgraph is built and no message is sent.
 
 The parent writes the per-row or per-community partial results into arrays
 indexed by id and reduces them as the sequential path does, so float
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph import (
-    build_contingency, contingency_rows, local_subgraph, scatter_labels, shard,
+    build_contingency, contingency_rows, scatter_labels, shard,
 )
 from ..info_metrics import (
     mi_row_terms, normalized_mutual_information, partition_entropy,
@@ -39,7 +40,7 @@ from ..pair_metrics import (
     jaccard_index, pair_counts_fast, pair_counts_striped, rand_index,
 )
 from ..intrinsic_metrics import (
-    CommunityStats, community_measures, intrinsic_report, IntrinsicReport,
+    IntrinsicReport, StatsTable, community_measures, intrinsic_report,
     modularity_density_terms, modularity_terms, node_labels, stats_from_labels,
 )
 from .transport import (
@@ -119,10 +120,10 @@ def _run_family(worker, args, config):
     )
 
 
-def _gather_rows(out, key, num_rows):
+def _gather_rows(out, key, num_rows, dtype=np.float64):
     """Per-row worker results, written back to one array indexed by row id."""
     w = len(out)
-    full = np.zeros(num_rows)
+    full = np.zeros(num_rows, dtype=dtype)
     for p, (payload, _stats) in enumerate(out):
         full[p::w] = payload[key]
     return full
@@ -296,21 +297,11 @@ def _intrinsic_worker(ctx, network, partition, comm_of):
     m = network.edge_count
     with ctx.compute():
         sh = shard(partition, w, p)
-        ids = sh.comm_ids.tolist()
-        if ctx.ring_enabled:
-            # distributed memory: only the edges incident to own members
-            sub = local_subgraph(network, sh)
-            local = [np.searchsorted(sub.orig_ids, members)
-                     for members in sh.communities]
-            stats = stats_from_labels(sub, comm_of[sub.orig_ids], ids, local)
-        else:
-            stats = stats_from_labels(network, comm_of, ids, sh.communities)
-        q_terms = modularity_terms(stats, m)
-        qds_terms = modularity_density_terms(stats, m, sizes=partition.sizes)
-        counts = np.array([(s.size, s.in_edges, s.out_edges, s.unassigned_edges)
-                           for s in stats], dtype=np.int64).reshape(-1, 4)
-    # communication free even on the ring backend: no circulation is opened
-    return {"ids": sh.comm_ids, "q": q_terms, "qds": qds_terms, "counts": counts}
+        table = stats_from_labels(network, comm_of, sh.comm_ids, sh.communities)
+        return {"q": modularity_terms(table, m),
+                "qds": modularity_density_terms(table, m, sizes=partition.sizes),
+                "in": table.in_edges, "out": table.out_edges,
+                "unassigned": table.unassigned_edges}
 
 
 def run_intrinsic_metrics(network, partition, config=None):
@@ -326,19 +317,23 @@ def run_intrinsic_metrics(network, partition, config=None):
         report = intrinsic_report(network, partition)
         return report, _sequential_timing(time.perf_counter() - t0)
 
-    out = _run_family(
+    # every worker reads the network it needs from the shared CSR, so even
+    # the ring backend opens no circulation
+    out = run_workers(
         _intrinsic_worker, (network, partition, node_labels(network, partition)),
-        config)
-    order = np.argsort(np.concatenate([payload["ids"] for payload, _ in out]))
-    q_terms, qds_terms, counts = (
-        np.concatenate([payload[key] for payload, _ in out])[order]
-        for key in ("q", "qds", "counts"))
-    stats = [
-        CommunityStats(k, size, inn, outd, neighbor_edges={}, unassigned_edges=una)
-        for k, (size, inn, outd, una) in enumerate(counts.tolist())
-    ]
+        config.num_workers, ring=False, timer_enabled=config.timer_enabled)
+    k = len(partition.communities)
+    columns = {key: _gather_rows(out, key, k, dtype)
+               for key, dtype in (("q", np.float64), ("qds", np.float64),
+                                  ("in", np.int64), ("out", np.int64),
+                                  ("unassigned", np.int64))}
+    empty = np.empty(0, dtype=np.int64)
+    table = StatsTable(
+        ids=np.arange(k, dtype=np.int64), size=partition.sizes,
+        in_edges=columns["in"], out_edges=columns["out"],
+        unassigned_edges=columns["unassigned"], ci=empty, cj=empty, cnt=empty)
     report = IntrinsicReport(
-        q=math.fsum(q_terms), qds=math.fsum(qds_terms),
-        total_edges=network.edge_count, rows=community_measures(stats),
+        q=math.fsum(columns["q"]), qds=math.fsum(columns["qds"]),
+        total_edges=network.edge_count, rows=community_measures(table),
     )
     return report, PhaseTiming.from_workers([s for _, s in out])

@@ -50,16 +50,23 @@ def _sorted_unique(x):
 
 
 def concat_ranges(starts, ends):
-    """Indices [s0..e0) ++ [s1..e1) ++ ... as one array."""
+    """Indices [s0..e0) ++ [s1..e1) ++ ... as one int64 array.
+
+    Built in one buffer: ones, with the jump to each range's start written
+    at its first slot, then summed cumulatively in place.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    keep = ends > starts
+    if not keep.all():
+        starts, ends = starts[keep], ends[keep]
     lens = ends - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    seg = np.repeat(np.arange(lens.size), lens)
-    first = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=first[1:])
-    pos = np.arange(total, dtype=np.int64) - first[seg]
-    return starts[seg] + pos
+    out = np.ones(int(lens.sum()), dtype=np.int64)
+    if out.size:
+        out[0] = starts[0]
+        out[np.cumsum(lens[:-1])] = starts[1:] - ends[:-1] + 1
+        np.cumsum(out, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +181,10 @@ def load_edge_list(stream):
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; a ``#`` after data on the same line is an error.  Node ids must
     be non-negative integers that fit in int64.  Self loops and duplicate
-    edges are dropped with a warning.  Labels are compacted to dense ids; the
-    sorted unique labels are retained in ``orig_ids``.
+    edges are dropped with a warning.  Labels are compacted to dense ids in
+    label order, the sorted unique labels retained in ``orig_ids``: through a
+    presence mask and a lookup table when the largest label is below the
+    number of endpoints, by sorting otherwise.
 
     ``stream`` is a binary or text file object, or any iterable of lines.
     A binary stream is read whole and, when well formed, parsed in one pass
@@ -191,9 +200,7 @@ def load_edge_list(stream):
     if edges is None:
         edges = _parse_edge_lines(stream)
 
-    labels = _sorted_unique(edges)
-    if labels[-1] >= labels.size:  # labels are not already 0..n-1
-        edges = np.searchsorted(labels, edges)
+    edges, labels = _dense_labels(edges)
     net = Network.from_edge_array(edges[:, 0], edges[:, 1], orig_ids=labels,
                                   node_count=labels.size)
     if net.self_loops_dropped:
@@ -201,6 +208,25 @@ def load_edge_list(stream):
     if net.duplicates_dropped:
         logger.warning("dropped %d duplicate edge(s)", net.duplicates_dropped)
     return net
+
+
+def _dense_labels(edges):
+    """``edges`` relabelled to dense ids 0..n-1 in label order, and the
+    sorted distinct labels.
+
+    Labels below the number of endpoints go through a presence mask and a
+    lookup table, two O(n) passes; larger ones are sorted and searched.
+    """
+    top = int(edges.max())
+    if top < edges.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[edges] = True
+        labels = np.flatnonzero(present)
+        dense_of = np.empty(top + 1, dtype=np.int64)
+        dense_of[labels] = np.arange(labels.size)
+        return dense_of[edges], labels
+    labels = _sorted_unique(edges)
+    return np.searchsorted(labels, edges), labels
 
 
 # what ``str.strip``/``str.split`` treat as blank in ASCII text

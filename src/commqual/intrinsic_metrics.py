@@ -2,10 +2,16 @@
 per-community structural measures.
 
 These need only the network and one partition (no ground truth).  The
-partition must live in the network's dense node-id space.  Per-community
-inputs are summarized in :class:`CommunityStats`; every metric below is a pure
-function of those counts, so sharded evaluation sums the same per-community
-contributions in a different grouping.
+partition must live in the network's dense node-id space.  One kernel,
+:func:`stats_from_labels`, reads the CSR rows of the requested communities'
+members in a few whole-array passes and returns a columnar
+:class:`StatsTable`: per-community size, internal, boundary and unassigned
+edge counts, plus the cross-community cells sorted by (community, neighbour).
+Every metric below is an array expression over that table, evaluated
+element by element, so a worker that runs the kernel on communities
+``p::w`` gets each community's terms bit for bit as the whole-partition run
+does.  A plain list of :class:`CommunityStats` is accepted wherever a table
+is and converted to one.
 """
 
 from __future__ import annotations
@@ -34,6 +40,78 @@ class CommunityStats:
     out_edges: int
     neighbor_edges: dict = field(default_factory=dict)
     unassigned_edges: int = 0
+
+
+@dataclass
+class StatsTable:
+    """:class:`CommunityStats` of the communities ``ids``, as columns.
+
+    ``size``, ``in_edges``, ``out_edges`` and ``unassigned_edges`` are int64
+    arrays aligned with ``ids``.  Cell ``t`` says that the community at
+    position ``ci[t]`` shares ``cnt[t]`` edges with community id ``cj[t]``;
+    cells are sorted by ``(ci, cj)``.  ``len``, indexing and iteration give
+    :class:`CommunityStats` objects, built on demand.
+    """
+
+    ids: np.ndarray
+    size: np.ndarray
+    in_edges: np.ndarray
+    out_edges: np.ndarray
+    unassigned_edges: np.ndarray
+    ci: np.ndarray
+    cj: np.ndarray
+    cnt: np.ndarray
+
+    def __len__(self):
+        return self.ids.size
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        lo, hi = np.searchsorted(self.ci, (i, i + 1)).tolist()
+        return CommunityStats(
+            community_id=int(self.ids[i]),
+            size=int(self.size[i]),
+            in_edges=int(self.in_edges[i]),
+            out_edges=int(self.out_edges[i]),
+            neighbor_edges=dict(zip(self.cj[lo:hi].tolist(),
+                                    self.cnt[lo:hi].tolist())),
+            unassigned_edges=int(self.unassigned_edges[i]),
+        )
+
+    def __iter__(self):
+        bounds = np.searchsorted(self.ci, np.arange(len(self) + 1)).tolist()
+        cj, cnt = self.cj.tolist(), self.cnt.tolist()
+        columns = (self.ids, self.size, self.in_edges, self.out_edges,
+                   self.unassigned_edges)
+        for i, (k, size, inn, out, una) in enumerate(
+                zip(*(c.tolist() for c in columns))):
+            lo, hi = bounds[i], bounds[i + 1]
+            yield CommunityStats(k, size, inn, out,
+                                 dict(zip(cj[lo:hi], cnt[lo:hi])), una)
+
+    @classmethod
+    def from_stats(cls, stats):
+        """The table of a sequence of :class:`CommunityStats`; neighbours are
+        listed in ascending id order."""
+        if isinstance(stats, cls):
+            return stats
+        stats = list(stats)
+        cells = sorted((i, j, e) for i, s in enumerate(stats)
+                       for j, e in s.neighbor_edges.items())
+
+        def col(values):
+            return np.array(values, dtype=np.int64).reshape(-1)
+
+        return cls(
+            ids=col([s.community_id for s in stats]),
+            size=col([s.size for s in stats]),
+            in_edges=col([s.in_edges for s in stats]),
+            out_edges=col([s.out_edges for s in stats]),
+            unassigned_edges=col([s.unassigned_edges for s in stats]),
+            ci=col([c[0] for c in cells]),
+            cj=col([c[1] for c in cells]),
+            cnt=col([c[2] for c in cells]),
+        )
 
 
 @dataclass
@@ -78,21 +156,21 @@ class IntrinsicReport:
 
 
 def node_labels(network, partition):
-    """Dense node id -> community id over the whole network; -1 unassigned."""
+    """Dense node id -> community id over the whole network; -1 unassigned.
+    int32 whenever the community ids fit, which halves the kernel's per-edge
+    label arrays."""
     if partition.label_space > network.node_count:
         raise ValueError("partition references nodes beyond the network")
-    comm_of = np.full(network.node_count, -1, dtype=np.int64)
+    dtype = np.int32 if len(partition.communities) <= 2**31 - 1 else np.int64
+    comm_of = np.full(network.node_count, -1, dtype=dtype)
     assigned = partition.node_map().comm_of
     comm_of[:assigned.size] = assigned
     return comm_of
 
 
 def community_stats(network, partition, community_ids=None):
-    """Gather :class:`CommunityStats` for the given community ids (default all).
-
-    One vectorized pass per community over its incident adjacency rows, so the
-    cost is proportional to the total degree of the communities requested.
-    """
+    """The :class:`StatsTable` of the given community ids (default all),
+    from one pass over the CSR rows of their members."""
     comm_of = node_labels(network, partition)
     if community_ids is None:
         community_ids = range(len(partition.communities))
@@ -101,29 +179,79 @@ def community_stats(network, partition, community_ids=None):
 
 
 def stats_from_labels(network, comm_of, community_ids, communities):
-    """:class:`CommunityStats` of each community ``community_ids[i]`` with
+    """:class:`StatsTable` of each community ``community_ids[i]`` with
     members ``communities[i]``, given as dense ids of ``network`` whose nodes
-    carry the community ids ``comm_of``."""
-    out = []
-    for k, members in zip(community_ids, communities):
-        idx = concat_ranges(network.indptr[members], network.indptr[members + 1])
-        labels = comm_of[network.indices[idx]]
-        internal_ends = int(np.count_nonzero(labels == k))
-        unassigned = int(np.count_nonzero(labels == -1))
-        cross = labels[(labels != k) & (labels >= 0)]
-        pairs = {}
-        if cross.size:
-            ids, cnts = np.unique(cross, return_counts=True)
-            pairs = {int(i): int(c) for i, c in zip(ids, cnts)}
-        out.append(CommunityStats(
-            community_id=int(k),
-            size=int(members.size),
-            in_edges=internal_ends // 2,
-            out_edges=int(labels.size - internal_ends),
-            neighbor_edges=pairs,
-            unassigned_edges=unassigned,
-        ))
+    carry the community ids ``comm_of``.
+
+    The members' CSR rows are gathered community after community, so every
+    community owns one contiguous run of edge ends.  Per end, the
+    neighbour's label is compared with the run's own id; run sums give the
+    internal and unassigned ends, and one sort of ``position * n + label``
+    over the crossing ends gives the cells.  Cost is proportional to the
+    total degree of the communities requested.
+    """
+    ids = np.asarray(community_ids, dtype=np.int64).reshape(-1)
+    size = np.array([c.size for c in communities], dtype=np.int64)
+    members = (np.concatenate(communities) if communities
+               else np.empty(0, dtype=np.int64))
+    starts = network.indptr[members]
+    ends = network.indptr[members + 1]
+
+    # edge ends of the community at position i: [run[i], run[i + 1])
+    row_end = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(ends - starts, out=row_end[1:])
+    run = row_end[np.concatenate(([0], np.cumsum(size)))]
+    total = np.diff(run)
+
+    nbr = comm_of[network.indices[concat_ranges(starts, ends)]]
+    inside = nbr == np.repeat(ids.astype(comm_of.dtype), total)
+    in_ends = _run_sums(inside, run)
+    unassigned = _run_sums(nbr < 0, run)
+
+    cross = np.logical_not(inside, out=inside)
+    cross &= nbr >= 0
+    n = max(comm_of.size, 1)  # > every community id and every position
+    key_type = np.int32 if ids.size * n <= 2**31 - 1 else np.int64
+    key = np.repeat(np.arange(0, ids.size * n, n, dtype=key_type),
+                    total - in_ends - unassigned)
+    key += nbr[cross].astype(key_type, copy=False)
+    key.sort()
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts_at = np.flatnonzero(first)
+    cnt = np.diff(np.append(starts_at, key.size))
+    ci, cj = np.divmod(key[starts_at].astype(np.int64), n)
+
+    return StatsTable(ids=ids, size=size, in_edges=in_ends // 2,
+                      out_edges=total - in_ends, unassigned_edges=unassigned,
+                      ci=ci, cj=cj, cnt=cnt)
+
+
+def _run_sums(flags, run):
+    """Number of true ``flags`` in each run ``[run[i], run[i + 1])``."""
+    out = np.zeros(run.size - 1, dtype=np.int64)
+    nonempty = run[1:] > run[:-1]
+    if nonempty.any():
+        out[nonempty] = np.add.reduceat(flags, run[:-1][nonempty],
+                                        dtype=np.int64)
     return out
+
+
+def _squares(x):
+    """``v ** 2`` of every element as Python computes it for a float (libm
+    ``pow``, which can differ from ``v * v`` in the last bit), so the terms
+    repeat the scalar formulas digit for digit."""
+    return np.array([v ** 2 for v in x.tolist()], dtype=np.float64)
+
+
+def _internal_density(t):
+    """2 in_c / (n_c (n_c - 1)), and 0 for single-node communities."""
+    d = np.zeros(t.size.size)
+    big = t.size > 1
+    nc = t.size[big]
+    d[big] = 2.0 * t.in_edges[big] / (nc * (nc - 1))
+    return d
 
 
 def modularity_terms(stats, total_edges):
@@ -131,9 +259,9 @@ def modularity_terms(stats, total_edges):
     order."""
     if total_edges <= 0:
         raise ValueError("network has no edges")
+    t = StatsTable.from_stats(stats)
     m = float(total_edges)
-    return np.array([s.in_edges / m - ((2 * s.in_edges + s.out_edges) / (2 * m)) ** 2
-                     for s in stats], dtype=np.float64)
+    return t.in_edges / m - _squares((2 * t.in_edges + t.out_edges) / (2 * m))
 
 
 def modularity(stats, total_edges):
@@ -143,23 +271,40 @@ def modularity(stats, total_edges):
 
 
 def modularity_density_terms(stats, total_edges, sizes=None):
-    """Per-community terms of :func:`modularity_density`, in ``stats`` order."""
+    """Per-community terms of :func:`modularity_density`, in ``stats`` order.
+
+    Each community's split penalties are subtracted one neighbour at a time
+    in ascending neighbour id order.
+    """
     if total_edges <= 0:
         raise ValueError("network has no edges")
-    if sizes is None:
-        sizes = {s.community_id: s.size for s in stats}
+    t = StatsTable.from_stats(stats)
     m = float(total_edges)
-    terms = np.zeros(len(stats))
-    for i, s in enumerate(stats):
-        nc = s.size
-        d_c = 2.0 * s.in_edges / (nc * (nc - 1)) if nc > 1 else 0.0
-        term = s.in_edges / m * d_c
-        term -= ((2 * s.in_edges + s.out_edges) / (2 * m) * d_c) ** 2
-        for j, e_cc in s.neighbor_edges.items():
-            d_cc = e_cc / (nc * float(sizes[j]))
-            term -= e_cc / (2 * m) * d_cc
-        terms[i] = term
+    d_c = _internal_density(t)
+    terms = t.in_edges / m * d_c
+    terms -= _squares((2 * t.in_edges + t.out_edges) / (2 * m) * d_c)
+    d_cc = t.cnt / (t.size[t.ci] * _size_of(t, sizes).astype(np.float64))
+    np.subtract.at(terms, t.ci, t.cnt / (2 * m) * d_cc)
     return terms
+
+
+def _size_of(t, sizes):
+    """Sizes of the neighbour ids ``t.cj``, from ``sizes`` (an array indexed
+    by community id, or a mapping) or, by default, from the table itself."""
+    if sizes is None:
+        keys, values = t.ids, t.size
+    elif isinstance(sizes, dict):
+        keys = np.fromiter(sizes.keys(), dtype=np.int64, count=len(sizes))
+        values = np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes))
+    else:
+        return np.asarray(sizes, dtype=np.int64)[t.cj]
+    lookup = np.full(max(keys.max(initial=-1), t.cj.max(initial=-1)) + 1, -1,
+                     dtype=np.int64)
+    lookup[keys] = values
+    found = lookup[t.cj]
+    if (found < 0).any():
+        raise KeyError(f"no size for neighbouring community {t.cj[found < 0][0]}")
+    return found
 
 
 def modularity_density(stats, total_edges, sizes=None):
@@ -167,8 +312,9 @@ def modularity_density(stats, total_edges, sizes=None):
 
     Each community's term weighs the modularity contribution by its internal
     pair density and subtracts, per neighboring community, the product of
-    shared edge fraction and cross-pair density.  ``sizes`` maps community id
-    to size and is required when ``stats`` does not cover all communities;
+    shared edge fraction and cross-pair density.  ``sizes`` gives the size of
+    each community id (a mapping, or an array indexed by id) and is required
+    when ``stats`` does not cover all communities;
     single-node communities have internal density 0 by convention.  Terms are
     summed exactly rounded, as in :func:`modularity`.
     """
@@ -177,22 +323,16 @@ def modularity_density(stats, total_edges, sizes=None):
 
 def community_measures(stats):
     """Expand stats into the six per-community measures."""
-    rows = []
-    for s in stats:
-        nc = s.size
-        volume = 2 * s.in_edges + s.out_edges
-        rows.append(CommunityRow(
-            community_id=s.community_id,
-            size=nc,
-            intra_edges=s.in_edges,
-            intra_density=(2.0 * s.in_edges / (nc * (nc - 1)) if nc > 1 else 0.0),
-            contraction=2.0 * s.in_edges / nc,
-            inter_edges=s.out_edges,
-            expansion=s.out_edges / nc,
-            conductance=(s.out_edges / volume if volume > 0 else 0.0),
-            degenerate=volume == 0,
-        ))
-    return rows
+    t = StatsTable.from_stats(stats)
+    nc, inn, out = t.size, t.in_edges, t.out_edges
+    volume = 2 * inn + out
+    degenerate = volume == 0
+    conductance = np.zeros(nc.size)
+    np.divide(out, volume, out=conductance, where=~degenerate)
+    columns = (t.ids, nc, inn, _internal_density(t), 2.0 * inn / nc, out,
+               out / nc, conductance, degenerate)
+    return [CommunityRow(*values)
+            for values in zip(*(c.tolist() for c in columns))]
 
 
 def intrinsic_report(network, partition):

@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,22 @@ def _echo_worker(ctx, n):
     for origin, recs in ctx.circulate(records):
         seen.append((origin, int(recs[0][1][0])))
     return seen
+
+
+def _dying_ring_worker(ctx):
+    records = [(ctx.worker_id, np.arange(3, dtype=np.int64))]
+    for _origin, _records in ctx.circulate(records):
+        if ctx.worker_id == 1:
+            os._exit(3)
+    return ctx.worker_id
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ring_worker_hard_death_raises_promptly(workers):
+    t0 = time.monotonic()
+    with pytest.raises(EngineError, match=r"exited without reporting: \{.*1: 3"):
+        run_workers(_dying_ring_worker, (), workers, ring=True)
+    assert time.monotonic() - t0 < 10
 
 
 def test_ring_circulation_orders_and_counts():

@@ -103,6 +103,27 @@ def test_edge_list_int64_edges():
         load_edge_list(io.StringIO(f"0 1\n0 {2**63}\n"))
 
 
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (1, 2), (5, 3)],  # largest label = endpoints - 1: lookup table
+    [(0, 1), (1, 2), (6, 3)],  # largest label = endpoints: sorted
+    [(1, 2), (2, 3), (3, 1), (4, 1), (2, 1)],  # 1-based
+    [(3 * u + 1, 3 * v + 1) for u, v in
+     [(0, 1), (1, 2), (2, 0), (3, 4), (4, 0), (7, 7), (4, 3)]],  # 3i+1
+    [(2**62, 2**62 + 5), (2**62 + 5, 3), (3, 2**62), (9, 9)],  # near 2^62
+])
+def test_edge_list_label_mapping(pairs):
+    data = "".join(f"{u} {v}\n" for u, v in pairs).encode()
+    for stream in (io.BytesIO(data), io.StringIO(data.decode())):
+        net = load_edge_list(stream)
+        for field, value in network_reference(pairs).items():
+            actual = getattr(net, field)
+            assert (actual.tolist() if hasattr(actual, "tolist") else actual) == value, field
+    missing = max(max(p) for p in pairs) + 1
+    with pytest.raises(ValueError) as info:
+        net.to_dense([min(min(p) for p in pairs), missing])
+    assert str(info.value) == f"node {missing} not present in the network"
+
+
 def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(9)
     for x in (np.empty(0, dtype=np.int64), np.array([5]),

@@ -137,3 +137,28 @@ def test_report_means(t2):
     assert means["intra_edges"] == pytest.approx(3.0)
     assert means["conductance"] == pytest.approx(1.0 / 7.0, abs=1e-12)
     assert rep.community_count == 2
+
+
+def test_modularity_matches_networkx(t2):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(52)
+    cases = [t2]
+    for _ in range(6):
+        n = int(rng.integers(30, 200))
+        cases.append((random_graph(rng, n, 6),
+                      random_partition(rng, n, int(rng.integers(2, 10)))))
+    for net, part in cases:
+        g = nx.Graph()
+        g.add_nodes_from(range(net.node_count))
+        g.add_edges_from(edge_set(net))
+        want = nx.community.modularity(g, dense_sets(part))
+        assert intrinsic_report(net, part).q == pytest.approx(want, abs=1e-12)
+
+
+def test_terms_square_as_python_floats_do():
+    # (33 / 82) ** 2 and (33 / 82) * (33 / 82) differ in the last bit; a term
+    # keeps the value of the scalar formula
+    from commqual.intrinsic_metrics import CommunityStats, modularity_terms
+    x = (2 * 10 + 13) / (2 * 41.0)
+    assert x ** 2 != x * x
+    assert modularity_terms([CommunityStats(0, 5, 10, 13)], 41)[0] == 10 / 41 - x ** 2
