@@ -106,10 +106,8 @@ def generate_network(params):
     sizes = _draw_sizes(rng, params)
     starts = np.zeros(sizes.size, dtype=np.int64)
     np.cumsum(sizes[:-1], out=starts[1:])
-    communities = [np.arange(s, s + ln, dtype=np.int64)
-                   for s, ln in zip(starts, sizes)]
-    ground = Partition(communities, n)
     comm_of = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    ground = Partition.from_node_map(NodeCommunityMap(comm_of, n))
 
     deg_lo, deg_hi = params.degree_bounds()
     degrees = rng.integers(deg_lo, deg_hi + 1, size=n)
@@ -165,7 +163,7 @@ def perturb_partition(partition, fraction, seed=0):
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    k = len(partition.communities)
+    k = len(partition)
     node_map = partition.node_map()
     comm_of = node_map.comm_of.copy()
     if k < 2 or fraction == 0.0:
@@ -256,9 +254,8 @@ def _family_values(family, result):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _run_family(family, backend, workers, inputs, method, channel_capacity):
-    config = BackendConfig(backend=backend, num_workers=workers,
-                           channel_capacity=channel_capacity)
+def _run_family(family, backend, workers, inputs, method):
+    config = BackendConfig(backend=backend, num_workers=workers)
     if family == "info":
         res, timing = run_info_metrics(inputs["ground"], inputs["detected"], config)
     elif family == "matching":
@@ -281,7 +278,7 @@ def _values_match(kind, a, b):
 
 def run_scaling_study(family, backend, worker_counts, *, ground=None,
                       detected=None, network=None, repetitions=3,
-                      method="fast", channel_capacity=1):
+                      method="fast"):
     """Time one metric family at increasing worker counts.
 
     Inputs must be pre-built objects; the study never touches the filesystem.
@@ -315,7 +312,7 @@ def run_scaling_study(family, backend, worker_counts, *, ground=None,
         totals, computes, messages = [], [], []
         for _ in range(repetitions):
             (kind, values), timing = _run_family(
-                family, backend, w, inputs, method, channel_capacity)
+                family, backend, w, inputs, method)
             if baseline_values is None:
                 baseline_values = (kind, values)
             elif not _values_match(baseline_values[0], baseline_values[1], values):

@@ -78,46 +78,44 @@ def _check_universe(ground, detected):
         raise ValueError("partitions declare different universe sizes")
 
 
-def _records_of(shard_obj):
-    return list(zip(shard_obj.comm_ids.tolist(), shard_obj.communities))
-
-
 def _circulated_labels(ctx, cols):
     """Node -> column id array and column sizes, scattered from this worker's
-    own shard of ``cols`` and every shard received in one ring circulation."""
-    records = _records_of(shard(cols, ctx.num_workers, ctx.worker_id))
-    gathered = list(records)
-    for _origin, foreign in ctx.circulate(records):
-        gathered.extend(foreign)
+    own shard of ``cols`` and every shard received in one ring circulation.
+    A shard travels as three records: community ids, sizes and members."""
+    own = shard(cols, ctx.num_workers, ctx.worker_id)
+    records = list(enumerate((own.comm_ids, own.sizes, own.members)))
+    shards = [records] + [foreign for _origin, foreign in ctx.circulate(records)]
     with ctx.compute():
-        ids = [rid for rid, _ in gathered]
-        members = [values for _, values in gathered]
-        sizes = np.zeros(len(cols.communities), dtype=np.int64)
-        sizes[ids] = [values.size for values in members]
-        return scatter_labels(ids, members), sizes
+        ids, sizes, members = (np.concatenate([values for _, values in column])
+                               for column in zip(*shards))
+        col_sizes = np.zeros(len(cols), dtype=np.int64)
+        col_sizes[ids] = sizes
+        return scatter_labels(ids, sizes, members), col_sizes
 
 
 def _own_rows(ctx, rows, cols, col_of):
     """This worker's row slice of the (rows x cols) contingency table.
 
-    ``col_of`` is the parent's node -> column array; on the ring it is
-    unused and the labels come from one circulation of the column shards.
+    ``col_of`` is the parent's node -> column array; on the ring it is None
+    and the labels come from one circulation of the column shards.
     """
     col_sizes = cols.sizes
-    if ctx.ring_enabled:
+    if col_of is None:
         col_of, col_sizes = _circulated_labels(ctx, cols)
     with ctx.compute():
         return contingency_rows(rows, col_of, col_sizes,
                                 ctx.num_workers, ctx.worker_id)
 
 
+def _shm_labels(detected, config):
+    """Node -> detected id array for ``shm`` workers to read; None on the
+    ring, whose workers circulate the detected shards."""
+    return None if config.backend == RING else detected.node_map().comm_of
+
+
 def _run_family(worker, args, config):
-    return run_workers(
-        worker, args, config.num_workers,
-        ring=config.backend == RING,
-        channel_capacity=config.channel_capacity,
-        timer_enabled=config.timer_enabled,
-    )
+    return run_workers(worker, args, config.num_workers,
+                       ring=config.backend == RING)
 
 
 def _gather_rows(out, key, num_rows, dtype=np.float64):
@@ -157,8 +155,8 @@ def run_info_metrics(ground, detected, config=None):
         return result, _sequential_timing(time.perf_counter() - t0)
 
     out = _run_family(
-        _info_worker, (ground, detected, detected.node_map().comm_of), config)
-    k = len(ground.communities)
+        _info_worker, (ground, detected, _shm_labels(detected, config)), config)
+    k = len(ground)
     vi_rows = _gather_rows(out, "vi", k)
     mi_rows = _gather_rows(out, "mi", k)
     h = partition_entropy(ground.sizes, n) + partition_entropy(detected.sizes, n)
@@ -200,8 +198,9 @@ def run_matching_metrics(ground, detected, config=None):
         return result, _sequential_timing(time.perf_counter() - t0)
 
     out = _run_family(
-        _matching_worker, (ground, detected, detected.node_map().comm_of), config)
-    merged = MatchMaxima.empty(len(ground.communities), len(detected.communities))
+        _matching_worker, (ground, detected, _shm_labels(detected, config)),
+        config)
+    merged = MatchMaxima.empty(len(ground), len(detected))
     for payload, _stats in out:
         merged = merged.merge(MatchMaxima(
             payload["max_normed"], payload["max_t"], payload["max_d"]))
@@ -264,14 +263,15 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
             raise ValueError("the ring backend has no brute-force mode")
         out = run_workers(
             _pair_brute_worker, (gmap.comm_of, dmap.comm_of, n),
-            config.num_workers, timer_enabled=config.timer_enabled)
+            config.num_workers)
         counts = PairCounts(0, 0, 0, 0)
         for payload, _stats in out:
             counts = counts + PairCounts(payload["a11"], payload["a10"],
                                          payload["a01"], payload["a00"])
         return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
 
-    out = _run_family(_pair_worker, (ground, detected, dmap.comm_of), config)
+    labels = None if config.backend == RING else dmap.comm_of
+    out = _run_family(_pair_worker, (ground, detected, labels), config)
     a11, row_pairs, col_pairs = (sum(payload[key] for payload, _ in out)
                                  for key in ("a11", "row_pairs", "col_pairs"))
     counts = PairCounts.from_pair_totals(a11, row_pairs, col_pairs, n)
@@ -297,7 +297,8 @@ def _intrinsic_worker(ctx, network, partition, comm_of):
     m = network.edge_count
     with ctx.compute():
         sh = shard(partition, w, p)
-        table = stats_from_labels(network, comm_of, sh.comm_ids, sh.communities)
+        table = stats_from_labels(network, comm_of, sh.comm_ids, sh.sizes,
+                                  sh.members)
         return {"q": modularity_terms(table, m),
                 "qds": modularity_density_terms(table, m, sizes=partition.sizes),
                 "in": table.in_edges, "out": table.out_edges,
@@ -321,8 +322,8 @@ def run_intrinsic_metrics(network, partition, config=None):
     # the ring backend opens no circulation
     out = run_workers(
         _intrinsic_worker, (network, partition, node_labels(network, partition)),
-        config.num_workers, ring=False, timer_enabled=config.timer_enabled)
-    k = len(partition.communities)
+        config.num_workers)
+    k = len(partition)
     columns = {key: _gather_rows(out, key, k, dtype)
                for key, dtype in (("q", np.float64), ("qds", np.float64),
                                   ("in", np.int64), ("out", np.int64),

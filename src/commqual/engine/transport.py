@@ -21,6 +21,7 @@ import queue as queue_mod
 import struct
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,6 @@ class EngineError(RuntimeError):
 class BackendConfig:
     backend: str = SEQ
     num_workers: int = 1
-    channel_capacity: int = 1
-    timer_enabled: bool = True
 
     def __post_init__(self):
         self.backend = _ALIASES.get(self.backend, self.backend)
@@ -58,8 +57,6 @@ class BackendConfig:
             raise ValueError(f"unknown backend {self.backend!r}; pick from {BACKENDS}")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.channel_capacity < 1:
-            raise ValueError("channel_capacity must be at least 1")
 
 
 @dataclass
@@ -130,7 +127,9 @@ def ring_topology(num_workers):
 # followed by that many records, each:
 #   u4 record id | u4 value count | u4 * values
 #
-# Records carry one community each: the id plus its member (or label) list.
+# A partition shard travels as three records: 0 holds the community ids, 1
+# their sizes and 2 the concatenated member labels, so community ids[i] owns
+# the next sizes[i] labels.
 
 _HEADER = struct.Struct("<III")
 _RECORD = struct.Struct("<II")
@@ -184,42 +183,15 @@ class RingMessage:
 # ---------------------------------------------------------------------------
 
 
-class _Timer:
-    __slots__ = ("enabled", "compute_s", "message_s")
-
-    def __init__(self, enabled):
-        self.enabled = enabled
-        self.compute_s = 0.0
-        self.message_s = 0.0
-
-
-class _TimedBlock:
-    __slots__ = ("timer", "attr", "t0")
-
-    def __init__(self, timer, attr):
-        self.timer = timer
-        self.attr = attr
-
-    def __enter__(self):
-        if self.timer.enabled:
-            self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if self.timer.enabled:
-            setattr(self.timer, self.attr,
-                    getattr(self.timer, self.attr) + time.perf_counter() - self.t0)
-        return False
-
-
 class WorkerContext:
-    """Worker-side handle: identity, compute timer, traffic counters."""
+    """Worker-side handle: identity, compute and message time, traffic
+    counters."""
 
-    def __init__(self, worker_id, num_workers, timer_enabled=True,
-                 send_q=None, recv_q=None):
+    def __init__(self, worker_id, num_workers, send_q=None, recv_q=None):
         self.worker_id = worker_id
         self.num_workers = num_workers
-        self._timer = _Timer(timer_enabled)
+        self.compute_s = 0.0
+        self.message_s = 0.0
         self._send_q = send_q
         self._recv_q = recv_q
         self.bytes_sent = 0
@@ -228,8 +200,16 @@ class WorkerContext:
         self.messages_received = 0
         self._receipts = []
 
+    @contextmanager
+    def _timed(self, attr):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            setattr(self, attr, getattr(self, attr) + time.perf_counter() - t0)
+
     def compute(self):
-        return _TimedBlock(self._timer, "compute_s")
+        return self._timed("compute_s")
 
     @property
     def ring_enabled(self):
@@ -237,13 +217,13 @@ class WorkerContext:
 
     def _send(self, message):
         payload = message.to_bytes()
-        with _TimedBlock(self._timer, "message_s"):
+        with self._timed("message_s"):
             self._send_q.put(payload)
         self.bytes_sent += len(payload)
         self.messages_sent += 1
 
     def _recv(self):
-        with _TimedBlock(self._timer, "message_s"):
+        with self._timed("message_s"):
             payload = self._recv_q.get(timeout=_RESULT_TIMEOUT_S)
         self.bytes_received += len(payload)
         self.messages_received += 1
@@ -283,8 +263,8 @@ class WorkerContext:
         return WorkerStats(
             worker_id=self.worker_id,
             total_s=total_s,
-            compute_s=self._timer.compute_s,
-            message_s=self._timer.message_s,
+            compute_s=self.compute_s,
+            message_s=self.message_s,
             bytes_sent=self.bytes_sent,
             messages_sent=self.messages_sent,
             bytes_received=self.bytes_received,
@@ -293,10 +273,10 @@ class WorkerContext:
         )
 
 
-def _worker_entry(worker_fn, worker_id, num_workers, args, timer_enabled,
-                  send_q, recv_q, result_q):
+def _worker_entry(worker_fn, worker_id, num_workers, args, send_q, recv_q,
+                  result_q):
     t0 = time.perf_counter()
-    ctx = WorkerContext(worker_id, num_workers, timer_enabled, send_q, recv_q)
+    ctx = WorkerContext(worker_id, num_workers, send_q, recv_q)
     try:
         payload = worker_fn(ctx, *args)
         stats = ctx.finish(time.perf_counter() - t0)
@@ -305,18 +285,18 @@ def _worker_entry(worker_fn, worker_id, num_workers, args, timer_enabled,
         result_q.put((worker_id, traceback.format_exc(), None, None))
 
 
-def run_workers(worker_fn, args, num_workers, *, ring=False,
-                channel_capacity=1, timer_enabled=True):
+def run_workers(worker_fn, args, num_workers, *, ring=False):
     """Run ``worker_fn(ctx, *args)`` on every worker; return per-worker
     (payload, stats) ordered by worker id.
 
     With one worker the function runs inline (no processes, and for a ring an
     empty circulation).  Otherwise workers are forked; under the ring flag
-    worker p sends to p+1 and receives from p-1 through bounded queues.
+    worker p sends to p+1 and receives from p-1 through queues that hold one
+    message each.
     """
     if num_workers == 1:
         t0 = time.perf_counter()
-        ctx = WorkerContext(0, 1, timer_enabled)
+        ctx = WorkerContext(0, 1)
         payload = worker_fn(ctx, *args)
         return [(payload, ctx.finish(time.perf_counter() - t0))]
 
@@ -326,7 +306,7 @@ def run_workers(worker_fn, args, num_workers, *, ring=False,
         mp_ctx = mp.get_context("spawn")
 
     # queue index q feeds worker q+1; worker p sends on queue p
-    edges = [mp_ctx.Queue(maxsize=channel_capacity) for _ in range(num_workers)] \
+    edges = [mp_ctx.Queue(maxsize=1) for _ in range(num_workers)] \
         if ring else [None] * num_workers
     result_q = mp_ctx.Queue()
 
@@ -336,8 +316,7 @@ def run_workers(worker_fn, args, num_workers, *, ring=False,
         recv_q = edges[(p - 1) % num_workers] if ring else None
         proc = mp_ctx.Process(
             target=_worker_entry,
-            args=(worker_fn, p, num_workers, args, timer_enabled,
-                  send_q, recv_q, result_q),
+            args=(worker_fn, p, num_workers, args, send_q, recv_q, result_q),
             daemon=True,
         )
         procs.append(proc)

@@ -5,14 +5,16 @@ dense internal node ids 0..n-1.  Input files may use arbitrary non-negative
 integer labels; the original labels are kept in ``orig_ids`` so results can be
 reported in the caller's vocabulary.
 
-A :class:`Partition` is a list of disjoint communities (sorted label arrays)
-over a declared universe of ``universe_size`` nodes.  Coverage may be partial:
-nodes of the universe that appear in no community are simply unassigned.
+A :class:`Partition` holds disjoint communities (flat member labels plus
+offsets) over a declared universe of ``universe_size`` nodes.  Coverage may be
+partial: nodes of the universe that appear in no community are simply
+unassigned.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -210,23 +212,23 @@ def load_edge_list(stream):
     return net
 
 
-def _dense_labels(edges):
-    """``edges`` relabelled to dense ids 0..n-1 in label order, and the
-    sorted distinct labels.
+def _dense_labels(ids):
+    """``ids`` (non-negative) replaced by their ranks 0..n-1 among the
+    distinct values, and the sorted distinct values.
 
-    Labels below the number of endpoints go through a presence mask and a
-    lookup table, two O(n) passes; larger ones are sorted and searched.
+    Values below the number of ids go through a presence mask and a lookup
+    table, two O(n) passes; larger ones through one sort.
     """
-    top = int(edges.max())
-    if top < edges.size:
+    top = int(ids.max())
+    if top < ids.size:
         present = np.zeros(top + 1, dtype=bool)
-        present[edges] = True
+        present[ids] = True
         labels = np.flatnonzero(present)
         dense_of = np.empty(top + 1, dtype=np.int64)
         dense_of[labels] = np.arange(labels.size)
-        return dense_of[edges], labels
-    labels = _sorted_unique(edges)
-    return np.searchsorted(labels, edges), labels
+        return dense_of[ids], labels
+    labels, ranks = np.unique(ids, return_inverse=True)
+    return ranks.reshape(ids.shape), labels
 
 
 # what ``str.strip``/``str.split`` treat as blank in ASCII text
@@ -328,60 +330,74 @@ class NodeCommunityMap:
 class Partition:
     """Disjoint communities over a node universe.
 
-    Communities are stored as sorted int64 arrays of node labels and keep the
-    integer ids implied by input order (community k = k-th line / k-th list).
+    ``members`` holds the int64 node labels of every community, sorted within
+    each, and community k is ``members[offsets[k]:offsets[k + 1]]``; ids follow
+    input order (k-th line / k-th list) and a repeated node counts once.
     """
 
-    __slots__ = ("communities", "universe_size", "_sizes")
+    __slots__ = ("members", "offsets", "sizes", "universe_size", "_communities")
 
     def __init__(self, communities, universe_size):
-        comms = []
-        for members in communities:
-            arr = np.unique(np.asarray(members, dtype=np.int64))
-            if arr.size == 0:
+        comms = list(communities)
+        sizes = np.fromiter(map(len, comms), dtype=np.int64, count=len(comms))
+        flat = np.fromiter(itertools.chain.from_iterable(comms), dtype=np.int64,
+                           count=int(sizes.sum()))
+        comm = np.repeat(np.arange(sizes.size), sizes)
+        # the first bad community in input order names the error
+        empty, negative = np.flatnonzero(sizes == 0), comm[flat < 0]
+        if empty.size or negative.size:
+            if negative.size == 0 or (empty.size and empty[0] < negative[0]):
                 raise ValueError("empty community")
-            if arr[0] < 0:
-                raise ValueError("negative node id in community")
-            comms.append(arr)
+            raise ValueError("negative node id in community")
         if not comms:
             raise ValueError("partition has no communities")
         universe_size = int(universe_size)
         if universe_size <= 0:
             raise ValueError("universe size must be positive")
 
-        flat = np.concatenate(comms)
-        uniq, counts = np.unique(flat, return_counts=True)
-        if uniq.size != flat.size:
-            node = int(uniq[counts > 1][0])
+        # one sort of (community, label rank) orders each community and drops
+        # a node repeated on its line; a label left in two places overlaps
+        rank, labels = _dense_labels(flat)
+        key = _sorted_unique(comm * labels.size + rank)
+        comm, rank = np.divmod(key, labels.size)
+        if key.size != labels.size:
+            node = int(labels[np.argmax(np.bincount(rank) > 1)])
             raise OverlapError(f"node {node} appears in more than one community")
-        if uniq.size > universe_size:
-            raise ValueError(
-                f"{uniq.size} distinct nodes exceed declared universe of {universe_size}")
+        self._set(labels[rank], np.bincount(comm, minlength=sizes.size),
+                  universe_size)
 
-        self.communities = comms
-        self.universe_size = universe_size
-        self._sizes = None
+    def _set(self, members, sizes, universe_size):
+        """Community k is the next ``sizes[k]`` labels of ``members``."""
+        if universe_size <= 0:
+            raise ValueError("universe size must be positive")
+        if members.size > universe_size:
+            raise ValueError(f"{members.size} distinct nodes exceed declared "
+                             f"universe of {universe_size}")
+        self.members, self.sizes, self.universe_size = members, sizes, universe_size
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self._communities = None
+        return self
 
     def __len__(self):
-        return len(self.communities)
+        return self.sizes.size
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
         return (self.universe_size == other.universe_size
-                and len(self) == len(other)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.communities, other.communities)))
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.members, other.members))
 
     @property
-    def sizes(self):
-        if self._sizes is None:
-            self._sizes = np.array([c.size for c in self.communities], dtype=np.int64)
-        return self._sizes
+    def communities(self):
+        """Sorted member array of each community, views into ``members``."""
+        if self._communities is None:
+            self._communities = np.split(self.members, self.offsets[1:-1])
+        return self._communities
 
     @property
     def covered_count(self):
-        return int(self.sizes.sum())
+        return int(self.members.size)
 
     @property
     def covers_universe(self):
@@ -389,11 +405,17 @@ class Partition:
 
     @property
     def label_space(self):
-        return int(max(c[-1] for c in self.communities) + 1)
+        return int(self.members.max()) + 1
+
+    def take(self, comm_ids):
+        """Sizes and concatenated members of the communities ``comm_ids``."""
+        ids = np.asarray(comm_ids, dtype=np.int64).reshape(-1)
+        starts, ends = self.offsets[ids], self.offsets[ids + 1]
+        return ends - starts, self.members[concat_ranges(starts, ends)]
 
     def node_map(self):
         return NodeCommunityMap(
-            scatter_labels(range(len(self.communities)), self.communities),
+            scatter_labels(np.arange(len(self)), self.sizes, self.members),
             self.universe_size)
 
     @classmethod
@@ -404,25 +426,30 @@ class Partition:
         if covered.size == 0:
             raise ValueError("node map assigns no nodes")
         ids = comm_of[covered]
-        order = np.argsort(ids, kind="stable")
-        ids_sorted = ids[order]
-        nodes_sorted = covered[order]
-        bounds = np.flatnonzero(np.diff(ids_sorted)) + 1
-        groups = np.split(nodes_sorted, bounds)
-        present = np.concatenate([[ids_sorted[0]], ids_sorted[bounds]])
-        if present[0] != 0 or present[-1] != len(groups) - 1:
+        sizes = np.bincount(ids)
+        if not sizes.all():
             raise ValueError("community ids are not contiguous from 0")
-        return cls(groups, node_map.universe_size)
+        return cls.__new__(cls)._set(covered[np.argsort(ids, kind="stable")],
+                                     sizes, int(node_map.universe_size))
 
 
-def scatter_labels(comm_ids, communities):
-    """Node label -> community id array over the labels the communities use,
-    -1 for labels in no community.  Member arrays must be sorted."""
-    comm_of = np.full(max(int(c[-1]) for c in communities) + 1, -1,
-                      dtype=np.int64)
-    for k, members in zip(comm_ids, communities):
-        comm_of[members] = k
+def scatter_labels(comm_ids, sizes, members):
+    """Node label -> community id array over the labels ``members`` uses, -1
+    for labels in no community; community ``comm_ids[i]`` holds the next
+    ``sizes[i]`` entries of ``members``."""
+    comm_of = np.full(int(members.max(initial=-1)) + 1, -1, dtype=np.int64)
+    comm_of[members] = np.repeat(comm_ids, sizes)
     return comm_of
+
+
+def rank_labels(*partitions):
+    """The partitions with every node label replaced by its rank among the
+    labels any of them uses.  Set structure, and so every extrinsic metric,
+    is unchanged; label-indexed arrays shrink to the nodes covered."""
+    ranks, _ = _dense_labels(np.concatenate([p.members for p in partitions]))
+    cuts = np.cumsum([p.members.size for p in partitions])[:-1]
+    return [Partition.__new__(Partition)._set(r, p.sizes, p.universe_size)
+            for p, r in zip(partitions, np.split(ranks, cuts))]
 
 
 def parse_community_lines(stream):
@@ -465,20 +492,19 @@ def load_communities(stream, universe_size):
 
 @dataclass
 class PartitionShard:
-    """The communities of one worker: ids k with k mod num_workers == owner_id."""
+    """The communities of one worker under modulo sharding; community
+    ``comm_ids[i]`` holds the next ``sizes[i]`` labels of ``members``."""
 
-    owner_id: int
-    num_workers: int
     comm_ids: np.ndarray
-    communities: list
-    universe_size: int
+    sizes: np.ndarray
+    members: np.ndarray
 
     def __len__(self):
-        return len(self.communities)
+        return self.comm_ids.size
 
     @property
-    def sizes(self):
-        return np.array([c.size for c in self.communities], dtype=np.int64)
+    def communities(self):
+        return np.split(self.members, np.cumsum(self.sizes)[:-1]) if len(self) else []
 
 
 def shard(partition, num_workers, worker_id):
@@ -487,9 +513,8 @@ def shard(partition, num_workers, worker_id):
         raise ValueError("num_workers must be positive")
     if not 0 <= worker_id < num_workers:
         raise ValueError(f"worker_id {worker_id} outside [0, {num_workers})")
-    ids = np.arange(worker_id, len(partition.communities), num_workers, dtype=np.int64)
-    comms = [partition.communities[k] for k in ids]
-    return PartitionShard(worker_id, num_workers, ids, comms, partition.universe_size)
+    ids = np.arange(worker_id, len(partition), num_workers, dtype=np.int64)
+    return PartitionShard(ids, *partition.take(ids))
 
 
 def local_subgraph(network, shard_obj):
@@ -500,12 +525,7 @@ def local_subgraph(network, shard_obj):
     touching the rest of the graph.  ``orig_ids`` of the result maps back to
     the parent's dense ids.
     """
-    own = (np.concatenate(shard_obj.communities) if shard_obj.communities
-           else np.empty(0, dtype=np.int64))
-    if own.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return Network(0, 0, np.zeros(1, dtype=np.int64), empty, empty)
-
+    own = shard_obj.members
     starts, ends = network.indptr[own], network.indptr[own + 1]
     src = np.repeat(own, ends - starts)
     dst = network.indices[concat_ranges(starts, ends)]
@@ -545,8 +565,7 @@ def contingency_rows(rows, col_of, col_sizes, num_workers=1, worker_id=0):
     from .info_metrics import ContingencyTable
 
     own = shard(rows, num_workers, worker_id)
-    members = (np.concatenate(own.communities) if len(own)
-               else np.empty(0, dtype=np.int64))
+    members = own.members
     row_of = np.repeat(own.comm_ids, own.sizes)
     cols = np.full(members.size, -1, dtype=np.int64)
     inside = members < col_of.size

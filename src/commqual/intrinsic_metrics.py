@@ -161,10 +161,9 @@ def node_labels(network, partition):
     label arrays."""
     if partition.label_space > network.node_count:
         raise ValueError("partition references nodes beyond the network")
-    dtype = np.int32 if len(partition.communities) <= 2**31 - 1 else np.int64
+    dtype = np.int32 if len(partition) <= 2**31 - 1 else np.int64
     comm_of = np.full(network.node_count, -1, dtype=dtype)
-    assigned = partition.node_map().comm_of
-    comm_of[:assigned.size] = assigned
+    comm_of[partition.members] = np.repeat(np.arange(len(partition)), partition.sizes)
     return comm_of
 
 
@@ -173,15 +172,15 @@ def community_stats(network, partition, community_ids=None):
     from one pass over the CSR rows of their members."""
     comm_of = node_labels(network, partition)
     if community_ids is None:
-        community_ids = range(len(partition.communities))
+        community_ids = np.arange(len(partition))
     return stats_from_labels(network, comm_of, community_ids,
-                             [partition.communities[k] for k in community_ids])
+                             *partition.take(community_ids))
 
 
-def stats_from_labels(network, comm_of, community_ids, communities):
-    """:class:`StatsTable` of each community ``community_ids[i]`` with
-    members ``communities[i]``, given as dense ids of ``network`` whose nodes
-    carry the community ids ``comm_of``.
+def stats_from_labels(network, comm_of, community_ids, sizes, members):
+    """:class:`StatsTable` of each community ``community_ids[i]``, whose
+    members are the next ``sizes[i]`` entries of ``members``, given as dense
+    ids of ``network`` whose nodes carry the community ids ``comm_of``.
 
     The members' CSR rows are gathered community after community, so every
     community owns one contiguous run of edge ends.  Per end, the
@@ -191,9 +190,7 @@ def stats_from_labels(network, comm_of, community_ids, communities):
     total degree of the communities requested.
     """
     ids = np.asarray(community_ids, dtype=np.int64).reshape(-1)
-    size = np.array([c.size for c in communities], dtype=np.int64)
-    members = (np.concatenate(communities) if communities
-               else np.empty(0, dtype=np.int64))
+    size = np.asarray(sizes, dtype=np.int64)
     starts = network.indptr[members]
     ends = network.indptr[members + 1]
 

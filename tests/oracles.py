@@ -8,6 +8,10 @@ import math
 from collections import Counter
 
 
+class OverlapError(ValueError):
+    """A node on two lines; named as the package names it."""
+
+
 def overlap_table(ground, detected):
     """{(i, j): |c_i ∩ c'_j|} from lists of member sets."""
     table = {}
@@ -176,3 +180,38 @@ def network_reference(pairs):
         "self_loops_dropped": loops,
         "duplicates_dropped": len(pairs) - loops - len(edges),
     }
+
+
+def partition_reference(communities, universe_size):
+    """(communities, sizes, label space, node -> community list) of the
+    partition a list of member lists describes: members sorted and
+    deduplicated per line, ids in line order.  Raises the error the first
+    offending check names: an empty or negative line (first in line order),
+    no lines, a non-positive universe, a node on two lines (the smallest),
+    more distinct nodes than the universe holds."""
+    comms = []
+    for members in communities:
+        c = sorted(set(int(m) for m in members))
+        if not c:
+            raise ValueError("empty community")
+        if c[0] < 0:
+            raise ValueError("negative node id in community")
+        comms.append(c)
+    if not comms:
+        raise ValueError("partition has no communities")
+    if universe_size <= 0:
+        raise ValueError("universe size must be positive")
+    owner, shared = {}, set()
+    for k, c in enumerate(comms):
+        for v in c:
+            if v in owner:
+                shared.add(v)
+            owner[v] = k
+    if shared:
+        raise OverlapError(f"node {min(shared)} appears in more than one community")
+    if len(owner) > universe_size:
+        raise ValueError(f"{len(owner)} distinct nodes exceed declared "
+                         f"universe of {universe_size}")
+    label_space = max(owner) + 1
+    comm_of = [owner.get(v, -1) for v in range(label_space)]
+    return comms, [len(c) for c in comms], label_space, comm_of

@@ -199,8 +199,8 @@ def test_study_aborts_on_divergence(study_inputs, monkeypatch):
     calls = {"n": 0}
     real = bench._run_family
 
-    def drifting(family, backend, workers, inputs, method, capacity):
-        values, timing = real(family, backend, workers, inputs, method, capacity)
+    def drifting(family, backend, workers, inputs, method):
+        values, timing = real(family, backend, workers, inputs, method)
         calls["n"] += 1
         if calls["n"] > 1:
             kind, vals = values

@@ -236,6 +236,25 @@ def test_compare_id_beyond_int64(capsys, tmp_path):
     assert err == "error: line 3: node id beyond int64\n"
 
 
+@pytest.mark.parametrize("big", [10**11, 2**62])
+@pytest.mark.parametrize("backend,workers", [("seq", 1), ("shm", 2), ("ring", 2)])
+def test_compare_sparse_large_ids(capsys, tmp_path, big, backend, workers):
+    # metrics depend on set structure only, so the label values must not
+    # size anything: stdout equals that of the same sets over ids 0, 1, 2
+    def report(top, fmt):
+        gt, det = tmp_path / f"g{top}.cmty", tmp_path / f"d{top}.cmty"
+        gt.write_text(f"0 1\n{top}\n")
+        det.write_text(f"0 1 {top}\n")
+        return run_cli(capsys, "compare", "--ground-truth", str(gt),
+                       "--detected", str(det), "--universe", "3",
+                       "--backend", backend, "--workers", str(workers), *fmt)
+
+    for fmt in ((), ("--csv",)):
+        code, out, err = report(big, fmt)
+        assert code == 0, err
+        assert (code, out) == report(2, fmt)[:2]
+
+
 def test_generate_and_roundtrip(capsys, tmp_path):
     prefix = str(tmp_path / "synth")
     code, out, _ = run_cli(capsys, "generate", "--nodes", "500",

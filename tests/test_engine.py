@@ -9,7 +9,7 @@ from commqual.engine import (
     ring_topology, run_info_metrics, run_intrinsic_metrics,
     run_matching_metrics, run_pair_metrics, run_workers,
 )
-from commqual.graph import Partition
+from commqual.graph import Partition, shard
 from conftest import (
     T1_EXPECTED, T2_EXPECTED, random_graph, random_partition, t2_network,
     t2_partition,
@@ -78,8 +78,6 @@ def test_backend_config_validation():
         BackendConfig(backend="threads")
     with pytest.raises(ValueError):
         BackendConfig(num_workers=0)
-    with pytest.raises(ValueError):
-        BackendConfig(channel_capacity=0)
 
 
 def test_worker_failure_surfaces():
@@ -277,6 +275,29 @@ def test_universe_mismatch_rejected():
     b = Partition([[0, 1]], 3)
     with pytest.raises(ValueError, match="universe"):
         run_info_metrics(a, b)
+
+
+def test_ring_wire_limit_on_flat_records():
+    # a ring shard is three records: community ids, sizes, member labels
+    top = 2**32 - 1
+    detected = Partition([[0, 2], [1, top]], 4)
+    for p in range(2):
+        sh = shard(detected, 2, p)
+        records = list(enumerate((sh.comm_ids, sh.sizes, sh.members)))
+        back = RingMessage.from_bytes(RingMessage(p, 1, records).to_bytes())
+        assert ([(i, v.tolist()) for i, v in back.records]
+                == [(i, v.tolist()) for i, v in records])
+    # one past the range fails the run before any label-sized array is made
+    ground = Partition([[0, 1], [2, top + 1]], 4)
+    over = Partition([[0, 2], [1, top + 1]], 4)
+    with pytest.raises(EngineError, match="outside unsigned 32-bit wire range"):
+        run_info_metrics(ground, over, cfg("ring", 2))
+    # sparse labels travel as they are; a label of 2**32 - 1 would need
+    # 32 GiB label arrays on seq and on every ring worker, so 2**20 stands in
+    ground = Partition([[0, 1], [2, 2**20]], 4)
+    detected = Partition([[0, 2], [1, 2**20]], 4)
+    assert (run_info_metrics(ground, detected, cfg("ring", 2))[0]
+            == run_info_metrics(ground, detected)[0])
 
 
 def test_timing_aggregates_are_max():
