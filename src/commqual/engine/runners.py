@@ -1,20 +1,23 @@
 """Metric evaluation across the sequential, shared-memory, and ring backends.
 
-Every backend evaluates a family with the same kernel.  The extrinsic
-families (info, matching, pair) reduce the contingency cells n_ij, which
-worker p builds for the ground rows ``p::w`` with
-:func:`~commqual.graph.contingency_rows` and reduces with the functions the
-sequential path applies to the whole table.  The backends differ only in
-where a worker's node -> detected label array comes from: ``shm`` workers
-read the parent's copy-on-write, ``ring`` workers scatter their own detected
-shard and each shard received over the ring.  The intrinsic family runs
+Every backend evaluates a family with the same worker code.  For the
+extrinsic families (info, matching, pair) worker p builds the contingency
+cells n_ij of the ground rows ``p::w`` with
+:func:`~commqual.graph.build_contingency` and reduces them per row; ``seq``
+is the one-worker run of that code, in process, whose single row slice is
+the whole table.  The backends differ only in the worker count and in where
+a worker's node -> detected label array comes from: ``seq`` and ``shm``
+workers read the parent's (``shm`` copy-on-write), ``ring`` workers scatter
+their own detected shard and each shard received in one circulation of the
+ring.  The intrinsic family runs
 :func:`~commqual.intrinsic_metrics.stats_from_labels` on the CSR rows of
 communities ``p::w`` of the shared network under both ``shm`` and ``ring``:
 no subgraph is built and no message is sent.
 
 The parent writes the per-row or per-community partial results into arrays
-indexed by id and reduces them as the sequential path does, so float
-results are identical across backends and worker counts.
+indexed by id and reduces them in one pass, as the intrinsic family's
+sequential :func:`~commqual.intrinsic_metrics.intrinsic_report` does, so
+float results are identical across backends and worker counts.
 
 All entry points return ``(result, PhaseTiming)``.
 """
@@ -27,17 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import (
-    build_contingency, contingency_rows, scatter_labels, shard,
-)
-from ..info_metrics import (
-    mi_row_terms, normalized_mutual_information, partition_entropy,
-    variation_of_information, vi_row_terms,
-)
+from ..graph import build_contingency, scatter_labels, shard
+from ..info_metrics import mi_row_terms, partition_entropy, vi_row_terms
 from ..matching_metrics import MatchMaxima, f_measure, nvd
 from ..pair_metrics import (
     PairCounts, adjusted_rand_index, choose2_sum, covered_labels,
-    jaccard_index, pair_counts_fast, pair_counts_striped, rand_index,
+    jaccard_index, pair_counts_striped, rand_index,
 )
 from ..intrinsic_metrics import (
     IntrinsicReport, StatsTable, community_measures, intrinsic_report,
@@ -78,44 +76,45 @@ def _check_universe(ground, detected):
         raise ValueError("partitions declare different universe sizes")
 
 
-def _circulated_labels(ctx, cols):
-    """Node -> column id array and column sizes, scattered from this worker's
-    own shard of ``cols`` and every shard received in one ring circulation.
-    A shard travels as three records: community ids, sizes and members."""
-    own = shard(cols, ctx.num_workers, ctx.worker_id)
+def _circulated_labels(ctx, detected):
+    """Node -> detected id array, scattered from this worker's own shard of
+    ``detected`` and every shard received in one ring circulation.  A shard
+    travels as three records: community ids, sizes and members."""
+    own = shard(detected, ctx.num_workers, ctx.worker_id)
     records = list(enumerate((own.comm_ids, own.sizes, own.members)))
     shards = [records] + [foreign for _origin, foreign in ctx.circulate(records)]
     with ctx.compute():
         ids, sizes, members = (np.concatenate([values for _, values in column])
                                for column in zip(*shards))
-        col_sizes = np.zeros(len(cols), dtype=np.int64)
-        col_sizes[ids] = sizes
-        return scatter_labels(ids, sizes, members), col_sizes
+        return scatter_labels(ids, sizes, members)
 
 
-def _own_rows(ctx, rows, cols, col_of):
-    """This worker's row slice of the (rows x cols) contingency table.
+def _own_rows(ctx, ground, detected, detected_labels):
+    """This worker's row slice of the (ground x detected) contingency table.
 
-    ``col_of`` is the parent's node -> column array; on the ring it is None
-    and the labels come from one circulation of the column shards.
+    ``detected_labels`` is the parent's node -> detected id array; on the
+    ring it is None and the labels come from one circulation of the detected
+    shards.
     """
-    col_sizes = cols.sizes
-    if col_of is None:
-        col_of, col_sizes = _circulated_labels(ctx, cols)
+    if detected_labels is None:
+        detected_labels = _circulated_labels(ctx, detected)
     with ctx.compute():
-        return contingency_rows(rows, col_of, col_sizes,
-                                ctx.num_workers, ctx.worker_id)
-
-
-def _shm_labels(detected, config):
-    """Node -> detected id array for ``shm`` workers to read; None on the
-    ring, whose workers circulate the detected shards."""
-    return None if config.backend == RING else detected.node_map().comm_of
+        return build_contingency(ground, detected, detected_labels,
+                                 ctx.num_workers, ctx.worker_id)
 
 
 def _run_family(worker, args, config):
-    return run_workers(worker, args, config.num_workers,
-                       ring=config.backend == RING)
+    """``seq`` is the one-worker run, which executes inline."""
+    workers = 1 if config.backend == SEQ else config.num_workers
+    return run_workers(worker, args, workers, ring=config.backend == RING)
+
+
+def _run_rows(worker, ground, detected, config):
+    """Run a contingency-row worker.  ``seq`` and ``shm`` workers read the
+    parent's node -> detected id array; ring workers get None and circulate
+    the detected shards instead."""
+    labels = None if config.backend == RING else detected.node_map().comm_of
+    return _run_family(worker, (ground, detected, labels), config)
 
 
 def _gather_rows(out, key, num_rows, dtype=np.float64):
@@ -144,18 +143,7 @@ def run_info_metrics(ground, detected, config=None):
     config = config or BackendConfig()
     _check_universe(ground, detected)
     n = ground.universe_size
-
-    if config.backend == SEQ:
-        t0 = time.perf_counter()
-        table = build_contingency(ground, detected)
-        result = InfoMetrics(
-            vi=variation_of_information(table),
-            nmi=normalized_mutual_information(table),
-        )
-        return result, _sequential_timing(time.perf_counter() - t0)
-
-    out = _run_family(
-        _info_worker, (ground, detected, _shm_labels(detected, config)), config)
+    out = _run_rows(_info_worker, ground, detected, config)
     k = len(ground)
     vi_rows = _gather_rows(out, "vi", k)
     mi_rows = _gather_rows(out, "mi", k)
@@ -173,12 +161,10 @@ def run_info_metrics(ground, detected, config=None):
 
 
 def _matching_worker(ctx, ground, detected, detected_labels):
-    m = MatchMaxima.from_contingency(
-        _own_rows(ctx, ground, detected, detected_labels))
-    if ctx.ring_enabled:
-        # phase 2: own detected columns against every circulated ground shard
-        cols = MatchMaxima.from_contingency(_own_rows(ctx, detected, ground, None))
-        m = MatchMaxima(m.max_normed, m.max_t, cols.max_t)
+    # max_d covers only this worker's rows; the parent's merge makes it exact
+    table = _own_rows(ctx, ground, detected, detected_labels)
+    with ctx.compute():
+        m = MatchMaxima.from_contingency(table)
     return {"max_normed": m.max_normed, "max_t": m.max_t, "max_d": m.max_d}
 
 
@@ -187,19 +173,7 @@ def run_matching_metrics(ground, detected, config=None):
     config = config or BackendConfig()
     _check_universe(ground, detected)
     n = ground.universe_size
-
-    if config.backend == SEQ:
-        t0 = time.perf_counter()
-        m = MatchMaxima.from_contingency(build_contingency(ground, detected))
-        result = MatchingMetrics(
-            f_measure=f_measure(m, ground.sizes, n),
-            nvd=nvd(m, n),
-        )
-        return result, _sequential_timing(time.perf_counter() - t0)
-
-    out = _run_family(
-        _matching_worker, (ground, detected, _shm_labels(detected, config)),
-        config)
+    out = _run_rows(_matching_worker, ground, detected, config)
     merged = MatchMaxima.empty(len(ground), len(detected))
     for payload, _stats in out:
         merged = merged.merge(MatchMaxima(
@@ -225,13 +199,10 @@ def _pair_worker(ctx, ground, detected, detected_labels):
                 "col_pairs": choose2_sum(detected.sizes[p::w])}
 
 
-def _pair_brute_worker(ctx, ground_comm_of, detected_comm_of, universe_size):
-    from ..graph import NodeCommunityMap
-    w, p = ctx.num_workers, ctx.worker_id
+def _pair_brute_worker(ctx, gmap, dmap):
     with ctx.compute():
-        m1 = NodeCommunityMap(ground_comm_of, universe_size)
-        m2 = NodeCommunityMap(detected_comm_of, universe_size)
-        counts = pair_counts_striped(m1, m2, num_stripes=w, stripe_id=p)
+        counts = pair_counts_striped(gmap, dmap, num_stripes=ctx.num_workers,
+                                     stripe_id=ctx.worker_id)
     return {"a11": counts.a11, "a10": counts.a10,
             "a01": counts.a01, "a00": counts.a00}
 
@@ -250,31 +221,19 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     covered_labels(gmap, dmap)
     n = ground.universe_size
 
-    if config.backend == SEQ:
-        t0 = time.perf_counter()
-        if method == "bruteforce":
-            counts = pair_counts_striped(gmap, dmap)
-        else:
-            counts = pair_counts_fast(build_contingency(ground, detected))
-        return _pair_result(counts), _sequential_timing(time.perf_counter() - t0)
-
     if method == "bruteforce":
         if config.backend == RING:
             raise ValueError("the ring backend has no brute-force mode")
-        out = run_workers(
-            _pair_brute_worker, (gmap.comm_of, dmap.comm_of, n),
-            config.num_workers)
+        out = _run_family(_pair_brute_worker, (gmap, dmap), config)
         counts = PairCounts(0, 0, 0, 0)
         for payload, _stats in out:
             counts = counts + PairCounts(payload["a11"], payload["a10"],
                                          payload["a01"], payload["a00"])
-        return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
-
-    labels = None if config.backend == RING else dmap.comm_of
-    out = _run_family(_pair_worker, (ground, detected, labels), config)
-    a11, row_pairs, col_pairs = (sum(payload[key] for payload, _ in out)
-                                 for key in ("a11", "row_pairs", "col_pairs"))
-    counts = PairCounts.from_pair_totals(a11, row_pairs, col_pairs, n)
+    else:
+        out = _run_rows(_pair_worker, ground, detected, config)
+        a11, row_pairs, col_pairs = (sum(payload[key] for payload, _ in out)
+                                     for key in ("a11", "row_pairs", "col_pairs"))
+        counts = PairCounts.from_pair_totals(a11, row_pairs, col_pairs, n)
     return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
 
 

@@ -2,7 +2,7 @@
 
 Backends
 --------
-``seq``   everything in the calling process, no workers.
+``seq``   one worker, run inline in the calling process; no fork.
 ``shm``   fork()ed worker processes reading the parent's data structures
           copy-on-write; no inter-worker communication.
 ``ring``  fork()ed workers connected in a directed ring of bounded queues;
@@ -215,9 +215,10 @@ class WorkerContext:
     def ring_enabled(self):
         return self._send_q is not None
 
+    # message time covers encoding and decoding as well as the queue wait
     def _send(self, message):
-        payload = message.to_bytes()
         with self._timed("message_s"):
+            payload = message.to_bytes()
             self._send_q.put(payload)
         self.bytes_sent += len(payload)
         self.messages_sent += 1
@@ -225,9 +226,10 @@ class WorkerContext:
     def _recv(self):
         with self._timed("message_s"):
             payload = self._recv_q.get(timeout=_RESULT_TIMEOUT_S)
+            message = RingMessage.from_bytes(payload)
         self.bytes_received += len(payload)
         self.messages_received += 1
-        return RingMessage.from_bytes(payload)
+        return message
 
     def circulate(self, records):
         """Run one full circulation of the ring, starting from own ``records``.

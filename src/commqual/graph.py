@@ -541,44 +541,41 @@ def local_subgraph(network, shard_obj):
 # ---------------------------------------------------------------------------
 
 
-def build_contingency(ground, detected):
-    """Sparse table of community overlaps |c_i ∩ c'_j| between two partitions.
+def build_contingency(ground, detected, detected_labels=None, num_workers=1,
+                      worker_id=0):
+    """Sparse table of community overlaps |c_i ∩ c'_j| between two partitions,
+    restricted to the ground rows ``worker_id::num_workers``.
 
-    Runs in O(n log n) over covered nodes.  Returns a
+    ``detected_labels`` maps a node label to its detected community id, with
+    -1 or a label past its end meaning unassigned; it defaults to
+    ``detected.node_map().comm_of``.  One sort over ``row * num_cols +
+    column`` lists the cells in (row, column) order, so a per-row reduction
+    of a row slice repeats the arithmetic of the full table, which is the
+    one-worker call.  The marginals are always the full ``ground.sizes`` and
+    ``detected.sizes``.  Returns a
     :class:`~commqual.info_metrics.ContingencyTable`.
-    """
-    if ground.universe_size != detected.universe_size:
-        raise ValueError("partitions declare different universe sizes")
-    return contingency_rows(ground, detected.node_map().comm_of, detected.sizes)
-
-
-def contingency_rows(rows, col_of, col_sizes, num_workers=1, worker_id=0):
-    """Contingency cells of the rows ``worker_id::num_workers`` of ``rows``.
-
-    ``col_of`` maps a node label to its column (detected community) id, with
-    -1 or a label past its end meaning unassigned; ``col_sizes`` are the
-    column marginals.  One sort over ``row * num_cols + column`` gives those
-    rows' cells in (row, column) order, exactly as :func:`build_contingency`
-    lists them, so a per-row reduction of a row slice repeats the full
-    table's arithmetic.  The table keeps the full marginals.
     """
     from .info_metrics import ContingencyTable
 
-    own = shard(rows, num_workers, worker_id)
+    if ground.universe_size != detected.universe_size:
+        raise ValueError("partitions declare different universe sizes")
+    if detected_labels is None:
+        detected_labels = detected.node_map().comm_of
+    own = shard(ground, num_workers, worker_id)
     members = own.members
     row_of = np.repeat(own.comm_ids, own.sizes)
     cols = np.full(members.size, -1, dtype=np.int64)
-    inside = members < col_of.size
-    cols[inside] = col_of[members[inside]]
+    inside = members < detected_labels.size
+    cols[inside] = detected_labels[members[inside]]
     both = cols >= 0
-    ncols = len(col_sizes)
+    ncols = len(detected)
     uniq, counts = np.unique(row_of[both] * ncols + cols[both],
                              return_counts=True)
     return ContingencyTable(
         rows=uniq // ncols,
         cols=uniq % ncols,
         counts=counts.astype(np.int64),
-        row_sizes=rows.sizes.copy(),
-        col_sizes=np.array(col_sizes, dtype=np.int64),
-        universe_size=rows.universe_size,
+        row_sizes=ground.sizes.copy(),
+        col_sizes=detected.sizes.copy(),
+        universe_size=ground.universe_size,
     )

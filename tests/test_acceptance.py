@@ -306,7 +306,7 @@ def test_criterion_7_scaling_shape(planted, capsys):
 def test_criterion_8_ring_circulation_audit(big_runs, capsys):
     with criterion(8, "each ring worker receives exactly w-1 foreign shards "
                       "per circulation phase", capsys):
-        phase_counts = {"info": 1, "pair": 1, "matching": 2}
+        phase_counts = {"info": 1, "pair": 1, "matching": 1}
         for family, phases in phase_counts.items():
             for w in RING_WORKER_COUNTS:
                 _, timing = big_runs[(family, "ring", w)]

@@ -164,6 +164,21 @@ def test_compare_overlap_file(capsys, tmp_path):
     assert "node 2" in err
 
 
+def test_compare_universe_below_distinct_nodes(capsys, tmp_path):
+    # 4 distinct sparse ids: --universe 4 is the smallest accepted value
+    gt = tmp_path / "ground.cmty"
+    gt.write_text("3 70\n500 9000\n")
+    det = tmp_path / "detected.cmty"
+    det.write_text("3 70 500\n9000\n")
+    argv = ["compare", "--ground-truth", str(gt), "--detected", str(det)]
+    code, _, err = run_cli(capsys, *argv, "--universe", "4")
+    assert code == 0 and err.startswith("universe=4 ")
+    code, out, err = run_cli(capsys, *argv, "--universe", "3")
+    assert code == 2
+    assert out == ""
+    assert "distinct nodes exceed declared universe" in err
+
+
 def test_quality_text(capsys, t2_files):
     edges, cmty = t2_files
     code, out, err = run_cli(capsys, "quality", "--network", str(edges),

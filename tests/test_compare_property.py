@@ -1,0 +1,71 @@
+"""Invariances of the comparison families on random partitions that cover
+the whole universe, run through the engine's worker code on ``seq`` (one
+worker, in process, no fork): swapping ground and detected, and relabelling
+the nodes."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from commqual.engine import (  # noqa: E402
+    run_info_metrics, run_matching_metrics, run_pair_metrics,
+)
+from commqual.graph import Partition  # noqa: E402
+
+
+def from_labels(labels, rename=None):
+    """Partition grouping node v (renamed to ``rename[v]``) by ``labels[v]``."""
+    n = len(labels)
+    rename = rename or range(n)
+    return Partition([[rename[v] for v in range(n) if labels[v] == c]
+                      for c in sorted(set(labels))], n)
+
+
+@st.composite
+def labelled_universe(draw):
+    """Ground and detected labels of ``n`` nodes, and a permutation of them."""
+    n = draw(st.integers(2, 40))
+    labels = st.lists(st.integers(0, 7), min_size=n, max_size=n)
+    return draw(labels), draw(labels), draw(st.permutations(range(n)))
+
+
+def compare(ground, detected):
+    info, _ = run_info_metrics(ground, detected)
+    matching, _ = run_matching_metrics(ground, detected)
+    pair, _ = run_pair_metrics(ground, detected)
+    return info, matching, pair
+
+
+def flat(results):
+    info, matching, pair = results
+    return (info.vi, info.nmi, matching.f_measure, matching.nvd,
+            pair.counts.as_tuple(), pair.rand, pair.adjusted_rand, pair.jaccard)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_universe())
+def test_swapping_ground_and_detected(case):
+    g_labels, d_labels, _perm = case
+    ground, detected = from_labels(g_labels), from_labels(d_labels)
+    info, matching, pair = compare(ground, detected)
+    info_s, matching_s, pair_s = compare(detected, ground)
+    for a, b in [(info.vi, info_s.vi), (info.nmi, info_s.nmi),
+                 (matching.nvd, matching_s.nvd), (pair.rand, pair_s.rand),
+                 (pair.adjusted_rand, pair_s.adjusted_rand),
+                 (pair.jaccard, pair_s.jaccard)]:
+        assert math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12), (a, b)
+    c, s = pair.counts, pair_s.counts
+    assert (c.a11, c.a10, c.a01, c.a00) == (s.a11, s.a01, s.a10, s.a00)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_universe())
+def test_relabelling_nodes_is_bit_exact(case):
+    g_labels, d_labels, perm = case
+    plain = compare(from_labels(g_labels), from_labels(d_labels))
+    renamed = compare(from_labels(g_labels, perm), from_labels(d_labels, perm))
+    # repr tells every distinct float apart, -0.0 from 0.0 included
+    assert repr(flat(renamed)) == repr(flat(plain))

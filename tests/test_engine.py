@@ -128,6 +128,27 @@ def test_ring_circulation_orders_and_counts():
         assert [h for _, h in stats.receipts[0]] == list(range(1, w))
 
 
+def test_message_time_includes_codec(monkeypatch):
+    # a slow encoder and decoder must show up in message_s, not in the gap
+    # between a worker's total and its compute + message time
+    to_bytes, from_bytes = RingMessage.to_bytes, RingMessage.from_bytes
+
+    def slow_to_bytes(self):
+        time.sleep(0.1)
+        return to_bytes(self)
+
+    def slow_from_bytes(cls, payload):
+        time.sleep(0.1)
+        return from_bytes(payload)
+
+    monkeypatch.setattr(RingMessage, "to_bytes", slow_to_bytes)
+    monkeypatch.setattr(RingMessage, "from_bytes", classmethod(slow_from_bytes))
+    out = run_workers(_echo_worker, (0,), 2, ring=True)
+    for _payload, stats in out:
+        assert stats.message_s >= 0.2
+        assert stats.total_s - stats.compute_s - stats.message_s < 0.05, stats
+
+
 # ---------------------------------------------------------------------------
 # fixture values across every backend and worker count
 # ---------------------------------------------------------------------------
@@ -251,12 +272,22 @@ def test_ring_audit_on_metric_runs(random_case):
     _, timing = run_matching_metrics(random_case["ground"],
                                      random_case["detected"], cfg("ring", w))
     for stats in timing.workers:
-        assert len(stats.receipts) == 2  # two circulation phases
+        assert len(stats.receipts) == 1  # one circulation phase
         for phase in stats.receipts:
             assert len(phase) == w - 1
             origins = sorted(o for o, _ in phase)
             assert origins == sorted(set(range(w)) - {stats.worker_id})
             assert [h for _, h in phase] == list(range(1, w))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ring_matching_circulates_once(random_case, workers):
+    _, timing = run_matching_metrics(random_case["ground"],
+                                     random_case["detected"], cfg("ring", workers))
+    for stats in timing.workers:
+        assert stats.messages_sent == workers - 1
+        assert stats.messages_received == workers - 1
+        assert len(stats.receipts) == 1
 
 
 def test_partial_coverage_supported_outside_pair_family():

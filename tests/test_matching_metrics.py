@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commqual.graph import build_contingency, contingency_rows
+from commqual.graph import build_contingency
 from commqual.matching_metrics import MatchMaxima, f_measure, nvd
 from conftest import T1_EXPECTED, as_sets, make_partition, random_partition
 import oracles
@@ -13,7 +13,7 @@ def maxima_via_row_slices(p1, p2, w):
     m = MatchMaxima.empty(len(p1), len(p2))
     for p in range(w):
         m = m.merge(MatchMaxima.from_contingency(
-            contingency_rows(p1, labels, p2.sizes, w, p)))
+            build_contingency(p1, p2, labels, w, p)))
     return m
 
 
@@ -68,8 +68,8 @@ def test_update_is_monotone_and_idempotent():
 
 def test_empty_shard_is_identity(t1_ground, t1_detected):
     # worker 4 of 5 owns none of the two ground rows: no cells, zero maxima
-    table = contingency_rows(t1_ground, t1_detected.node_map().comm_of,
-                             t1_detected.sizes, 5, 4)
+    table = build_contingency(t1_ground, t1_detected,
+                              t1_detected.node_map().comm_of, 5, 4)
     assert table.counts.size == 0
     m = MatchMaxima.from_contingency(table)
     assert m.max_t.tolist() == [0, 0] and m.max_d.tolist() == [0, 0]
