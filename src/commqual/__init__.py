@@ -10,7 +10,6 @@ from .graph import (
     build_contingency,
     load_communities,
     load_edge_list,
-    local_subgraph,
     parse_community_lines,
     shard,
 )

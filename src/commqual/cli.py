@@ -20,7 +20,6 @@ import numpy as np
 
 from .graph import (
     OverlapError, ParseError, Partition, load_edge_list, parse_community_lines,
-    rank_labels,
 )
 from .intrinsic_metrics import community_stats
 from .engine import BackendConfig, EngineError
@@ -138,7 +137,6 @@ def cmd_compare(args):
     universe = args.universe if args.universe is not None else max_id + 1
     ground = Partition(ground_lists, universe)
     detected = Partition(detected_lists, universe)
-    ground, detected = rank_labels(ground, detected)  # any sparse int64 ids
     config = BackendConfig(backend=args.backend, num_workers=args.workers)
 
     print(f"universe={universe} ground={len(ground)} detected={len(detected)} "

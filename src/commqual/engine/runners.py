@@ -9,7 +9,10 @@ the whole table.  The backends differ only in the worker count and in where
 a worker's node -> detected label array comes from: ``seq`` and ``shm``
 workers read the parent's (``shm`` copy-on-write), ``ring`` workers scatter
 their own detected shard and each shard received in one circulation of the
-ring.  The intrinsic family runs
+ring.  The three comparison runners first move both partitions into one
+dense label space 0..u-1 (:func:`_shared_labels`), so label-indexed arrays
+and ring messages scale with the u nodes covered, whatever the int64 ids.
+The intrinsic family runs
 :func:`~commqual.intrinsic_metrics.stats_from_labels` on the CSR rows of
 communities ``p::w`` of the shared network under both ``shm`` and ``ring``:
 no subgraph is built and no message is sent.
@@ -30,12 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph import build_contingency, scatter_labels, shard
+from ..graph import build_contingency, rank_labels, scatter_labels, shard
 from ..info_metrics import mi_row_terms, partition_entropy, vi_row_terms
 from ..matching_metrics import MatchMaxima, f_measure, nvd
 from ..pair_metrics import (
-    PairCounts, adjusted_rand_index, choose2_sum, covered_labels,
-    jaccard_index, pair_counts_striped, rand_index,
+    PairCounts, adjusted_rand_index, choose2_sum, jaccard_index,
+    pair_counts_striped, rand_index,
 )
 from ..intrinsic_metrics import (
     IntrinsicReport, StatsTable, community_measures, intrinsic_report,
@@ -71,9 +74,17 @@ def _sequential_timing(compute_s):
     return PhaseTiming.from_workers([stats])
 
 
-def _check_universe(ground, detected):
+def _shared_labels(ground, detected):
+    """The pair over one dense label space 0..u-1, u the number of labels
+    either partition uses.  When no label reaches the larger covered count,
+    that partition holds every label below it and the pair is already dense;
+    otherwise both are ranked jointly, which keeps every set relation."""
     if ground.universe_size != detected.universe_size:
         raise ValueError("partitions declare different universe sizes")
+    if (max(ground.label_space, detected.label_space)
+            > max(ground.covered_count, detected.covered_count)):
+        ground, detected = rank_labels(ground, detected)
+    return ground, detected
 
 
 def _circulated_labels(ctx, detected):
@@ -141,7 +152,7 @@ def _info_worker(ctx, ground, detected, detected_labels):
 def run_info_metrics(ground, detected, config=None):
     """VI and NMI of detected against ground truth."""
     config = config or BackendConfig()
-    _check_universe(ground, detected)
+    ground, detected = _shared_labels(ground, detected)
     n = ground.universe_size
     out = _run_rows(_info_worker, ground, detected, config)
     k = len(ground)
@@ -171,7 +182,7 @@ def _matching_worker(ctx, ground, detected, detected_labels):
 def run_matching_metrics(ground, detected, config=None):
     """F-measure and normalized Van Dongen distance."""
     config = config or BackendConfig()
-    _check_universe(ground, detected)
+    ground, detected = _shared_labels(ground, detected)
     n = ground.universe_size
     out = _run_rows(_matching_worker, ground, detected, config)
     merged = MatchMaxima.empty(len(ground), len(detected))
@@ -214,17 +225,23 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     all-pairs scan (the ring backend rejects it).
     """
     config = config or BackendConfig()
-    _check_universe(ground, detected)
+    ground, detected = _shared_labels(ground, detected)
     if method not in ("fast", "bruteforce"):
         raise ValueError(f"unknown pair-counting method {method!r}")
-    gmap, dmap = ground.node_map(), detected.node_map()
-    covered_labels(gmap, dmap)
+    # over one dense space 0..u-1 the node sets agree exactly when both
+    # partitions cover all u labels
+    u = max(ground.label_space, detected.label_space)
+    if not ground.covered_count == detected.covered_count == u:
+        raise ValueError("partitions cover different node sets")
     n = ground.universe_size
+    if u != n:
+        raise ValueError("pair counting requires full universe coverage")
 
     if method == "bruteforce":
         if config.backend == RING:
             raise ValueError("the ring backend has no brute-force mode")
-        out = _run_family(_pair_brute_worker, (gmap, dmap), config)
+        out = _run_family(_pair_brute_worker,
+                          (ground.node_map(), detected.node_map()), config)
         counts = PairCounts(0, 0, 0, 0)
         for payload, _stats in out:
             counts = counts + PairCounts(payload["a11"], payload["a10"],

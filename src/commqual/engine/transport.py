@@ -31,14 +31,6 @@ SHM = "shm"
 RING = "ring"
 BACKENDS = (SEQ, SHM, RING)
 
-_ALIASES = {
-    "sequential": SEQ,
-    "shared-memory": SHM,
-    "shared_memory": SHM,
-    "message-passing": RING,
-    "message_passing": RING,
-}
-
 _RESULT_TIMEOUT_S = 600.0
 
 
@@ -52,7 +44,6 @@ class BackendConfig:
     num_workers: int = 1
 
     def __post_init__(self):
-        self.backend = _ALIASES.get(self.backend, self.backend)
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; pick from {BACKENDS}")
         if self.num_workers < 1:

@@ -185,8 +185,8 @@ def load_edge_list(stream):
     be non-negative integers that fit in int64.  Self loops and duplicate
     edges are dropped with a warning.  Labels are compacted to dense ids in
     label order, the sorted unique labels retained in ``orig_ids``: through a
-    presence mask and a lookup table when the largest label is below the
-    number of endpoints, by sorting otherwise.
+    presence mask and a lookup table when the largest label is below twice
+    the number of endpoints, by sorting otherwise.
 
     ``stream`` is a binary or text file object, or any iterable of lines.
     A binary stream is read whole and, when well formed, parsed in one pass
@@ -216,11 +216,13 @@ def _dense_labels(ids):
     """``ids`` (non-negative) replaced by their ranks 0..n-1 among the
     distinct values, and the sorted distinct values.
 
-    Values below the number of ids go through a presence mask and a lookup
-    table, two O(n) passes; larger ones through one sort.
+    When the largest value is below twice the number of ids, a presence mask
+    and a lookup table (9 bytes a slot, so at most 18 an id) rank them in two
+    O(n) passes; otherwise one sort does, which allocates at least 24 bytes
+    an id.  Both give the same result.
     """
     top = int(ids.max())
-    if top < ids.size:
+    if top < 2 * ids.size:
         present = np.zeros(top + 1, dtype=bool)
         present[ids] = True
         labels = np.flatnonzero(present)
@@ -445,7 +447,9 @@ def scatter_labels(comm_ids, sizes, members):
 def rank_labels(*partitions):
     """The partitions with every node label replaced by its rank among the
     labels any of them uses.  Set structure, and so every extrinsic metric,
-    is unchanged; label-indexed arrays shrink to the nodes covered."""
+    is unchanged; label-indexed arrays shrink to the nodes covered.  The
+    comparison runners call it on every pair whose labels are not already
+    dense, so any int64 ids work from the library and the CLI alike."""
     ranks, _ = _dense_labels(np.concatenate([p.members for p in partitions]))
     cuts = np.cumsum([p.members.size for p in partitions])[:-1]
     return [Partition.__new__(Partition)._set(r, p.sizes, p.universe_size)
@@ -515,25 +519,6 @@ def shard(partition, num_workers, worker_id):
         raise ValueError(f"worker_id {worker_id} outside [0, {num_workers})")
     ids = np.arange(worker_id, len(partition), num_workers, dtype=np.int64)
     return PartitionShard(ids, *partition.take(ids))
-
-
-def local_subgraph(network, shard_obj):
-    """Subgraph induced by a shard's members plus their direct neighbors.
-
-    Keeps exactly the edges incident to shard members, which is enough to
-    evaluate any per-community structural measure of the shard without
-    touching the rest of the graph.  ``orig_ids`` of the result maps back to
-    the parent's dense ids.
-    """
-    own = shard_obj.members
-    starts, ends = network.indptr[own], network.indptr[own + 1]
-    src = np.repeat(own, ends - starts)
-    dst = network.indices[concat_ranges(starts, ends)]
-
-    nodes = _sorted_unique(np.concatenate([own, dst]))
-    u = np.searchsorted(nodes, src)
-    v = np.searchsorted(nodes, dst)
-    return Network.from_edge_array(u, v, orig_ids=nodes, node_count=nodes.size)
 
 
 # ---------------------------------------------------------------------------

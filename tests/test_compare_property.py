@@ -1,7 +1,8 @@
 """Invariances of the comparison families on random partitions that cover
 the whole universe, run through the engine's worker code on ``seq`` (one
-worker, in process, no fork): swapping ground and detected, and relabelling
-the nodes."""
+worker, in process, no fork): swapping ground and detected, relabelling the
+nodes, into a dense or a sparse id space, and comparing a partition with
+itself."""
 
 import math
 
@@ -66,6 +67,24 @@ def test_swapping_ground_and_detected(case):
 def test_relabelling_nodes_is_bit_exact(case):
     g_labels, d_labels, perm = case
     plain = compare(from_labels(g_labels), from_labels(d_labels))
-    renamed = compare(from_labels(g_labels, perm), from_labels(d_labels, perm))
-    # repr tells every distinct float apart, -0.0 from 0.0 included
-    assert repr(flat(renamed)) == repr(flat(plain))
+    # the runners rank sparse ids back to 0..n-1, in the same order as perm
+    for rename in (perm, [3 * p + 1 for p in perm],
+                   [p * 10**11 + 7 for p in perm]):
+        renamed = compare(from_labels(g_labels, rename),
+                          from_labels(d_labels, rename))
+        # repr tells every distinct float apart, -0.0 from 0.0 included
+        assert repr(flat(renamed)) == repr(flat(plain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_universe(), st.sampled_from([1, 3, 10**11]))
+def test_self_match_identities_on_sparse_labels(case, step):
+    labels, _d_labels, perm = case
+    part = from_labels(labels, [p * step + 7 for p in perm])
+    info, matching, pair = compare(part, part)
+    assert pair.counts.a10 == pair.counts.a01 == 0
+    for value, target in [(info.vi, 0.0), (info.nmi, 1.0),
+                          (matching.f_measure, 1.0), (matching.nvd, 0.0),
+                          (pair.rand, 1.0), (pair.adjusted_rand, 1.0),
+                          (pair.jaccard, 1.0)]:
+        assert math.isclose(value, target, rel_tol=0.0, abs_tol=1e-12), value

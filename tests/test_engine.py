@@ -72,8 +72,10 @@ def test_wire_rejects_garbage():
 
 
 def test_backend_config_validation():
-    assert BackendConfig(backend="sequential").backend == "seq"
-    assert BackendConfig(backend="message-passing").backend == "ring"
+    with pytest.raises(ValueError):
+        BackendConfig(backend="sequential")
+    with pytest.raises(ValueError):
+        BackendConfig(backend="message-passing")
     with pytest.raises(ValueError):
         BackendConfig(backend="threads")
     with pytest.raises(ValueError):
@@ -308,6 +310,40 @@ def test_universe_mismatch_rejected():
         run_info_metrics(a, b)
 
 
+LIBRARY_BACKENDS = [("seq", 1), ("shm", 2), ("ring", 2)]
+
+
+@pytest.mark.parametrize("backend,workers", LIBRARY_BACKENDS)
+@pytest.mark.parametrize("ground,detected,universe,message", [
+    ([[0, 1], [10**11]], [[0, 1, 2]], 3, "partitions cover different node sets"),
+    ([[0, 1, 2]], [[0, 1, 3]], 4, "partitions cover different node sets"),
+    ([[0, 1], [10**11]], [[0, 1, 10**11]], 4,
+     "pair counting requires full universe coverage"),
+])
+def test_pair_coverage_messages(ground, detected, universe, message, backend,
+                                workers):
+    with pytest.raises(ValueError) as info:
+        run_pair_metrics(Partition(ground, universe),
+                         Partition(detected, universe), cfg(backend, workers))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("backend,workers", LIBRARY_BACKENDS)
+@pytest.mark.parametrize("big", [2**32 - 1, 2**32, 10**11, 2**62])
+def test_sparse_library_labels_match_dense(big, backend, workers):
+    # node 4 renamed to ``big``: every comparison runner ranks it back, so
+    # no label-sized array is made and the result is the dense one
+    ground, detected = [[0, 1, 4], [2, 3]], [[0, 4], [1, 2, 3]]
+
+    def renamed(comms):
+        return Partition([[big if v == 4 else v for v in c] for c in comms], 5)
+
+    for run in (run_info_metrics, run_matching_metrics, run_pair_metrics):
+        want, _ = run(Partition(ground, 5), Partition(detected, 5))
+        got, _ = run(renamed(ground), renamed(detected), cfg(backend, workers))
+        assert got == want
+
+
 def test_ring_wire_limit_on_flat_records():
     # a ring shard is three records: community ids, sizes, member labels
     top = 2**32 - 1
@@ -318,17 +354,13 @@ def test_ring_wire_limit_on_flat_records():
         back = RingMessage.from_bytes(RingMessage(p, 1, records).to_bytes())
         assert ([(i, v.tolist()) for i, v in back.records]
                 == [(i, v.tolist()) for i, v in records])
-    # one past the range fails the run before any label-sized array is made
-    ground = Partition([[0, 1], [2, top + 1]], 4)
-    over = Partition([[0, 2], [1, top + 1]], 4)
-    with pytest.raises(EngineError, match="outside unsigned 32-bit wire range"):
-        run_info_metrics(ground, over, cfg("ring", 2))
-    # sparse labels travel as they are; a label of 2**32 - 1 would need
-    # 32 GiB label arrays on seq and on every ring worker, so 2**20 stands in
-    ground = Partition([[0, 1], [2, 2**20]], 4)
-    detected = Partition([[0, 2], [1, 2**20]], 4)
-    assert (run_info_metrics(ground, detected, cfg("ring", 2))[0]
-            == run_info_metrics(ground, detected)[0])
+    # the runners rank labels before any label-sized array or ring message is
+    # made, so ids at and past the wire range run on the ring as on seq
+    for big in (top, top + 1):
+        ground = Partition([[0, 1], [2, big]], 4)
+        detected = Partition([[0, 2], [1, big]], 4)
+        assert (run_info_metrics(ground, detected, cfg("ring", 2))[0]
+                == run_info_metrics(ground, detected)[0])
 
 
 def test_timing_aggregates_are_max():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from commqual.graph import (
-    Network, OverlapError, ParseError, Partition, _loadtxt_edges,
-    _sorted_unique, build_contingency, load_communities, load_edge_list,
-    local_subgraph, shard,
+    Network, OverlapError, ParseError, Partition, _dense_labels,
+    _loadtxt_edges, _sorted_unique, build_contingency, load_communities,
+    load_edge_list, shard,
 )
-from conftest import random_graph, random_partition, t2_network, t2_partition
+from conftest import random_graph, random_partition
 from oracles import network_reference
 
 
@@ -105,11 +105,11 @@ def test_edge_list_int64_edges():
 
 @pytest.mark.parametrize("pairs", [
     [(0, 1), (1, 2), (5, 3)],  # largest label = endpoints - 1: lookup table
-    [(0, 1), (1, 2), (6, 3)],  # largest label = endpoints: sorted
+    [(0, 1), (1, 2), (6, 3)],  # largest label = endpoints: lookup table
     [(1, 2), (2, 3), (3, 1), (4, 1), (2, 1)],  # 1-based
     [(3 * u + 1, 3 * v + 1) for u, v in
      [(0, 1), (1, 2), (2, 0), (3, 4), (4, 0), (7, 7), (4, 3)]],  # 3i+1
-    [(2**62, 2**62 + 5), (2**62 + 5, 3), (3, 2**62), (9, 9)],  # near 2^62
+    [(2**62, 2**62 + 5), (2**62 + 5, 3), (3, 2**62), (9, 9)],  # near 2^62: sorted
 ])
 def test_edge_list_label_mapping(pairs):
     data = "".join(f"{u} {v}\n" for u, v in pairs).encode()
@@ -131,6 +131,24 @@ def test_sorted_unique_matches_np_unique():
         got = _sorted_unique(x)
         assert got.dtype == x.dtype
         assert np.array_equal(got, np.unique(x))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 500])
+@pytest.mark.parametrize("top", ["size-1", "2size-1", "2size", "2**62"])
+def test_dense_labels_matches_np_unique(size, top):
+    # the lookup table ranks while the largest id is below 2 * size, a sort
+    # from there on; both must agree with np.unique
+    largest = {"size-1": size - 1, "2size-1": 2 * size - 1, "2size": 2 * size,
+               "2**62": 2**62}[top]
+    rng = np.random.default_rng(size)
+    ids = rng.integers(0, largest + 1, size=size, dtype=np.int64)
+    ids[rng.integers(size)] = largest
+    for shaped in (ids, ids.reshape(-1, 1)):
+        ranks, labels = _dense_labels(shaped)
+        want_labels, want_ranks = np.unique(shaped, return_inverse=True)
+        assert np.array_equal(labels, want_labels)
+        assert ranks.shape == shaped.shape
+        assert np.array_equal(ranks.reshape(-1), want_ranks.reshape(-1))
 
 
 def test_from_edge_array_matches_reference():
@@ -213,25 +231,6 @@ def test_shard_modulo_rule():
         shard(p, 0, 0)
     with pytest.raises(ValueError):
         shard(p, 2, 2)
-
-
-def test_local_subgraph_triangle_fixture():
-    net = t2_network()
-    part = t2_partition(net)
-    sub = local_subgraph(net, shard(part, 2, 0))
-    # community {1,2,3} plus boundary node 4; edges: the triangle and bridge
-    assert sub.node_count == 4
-    assert sub.edge_count == 4
-    assert sorted(net.orig_ids[sub.orig_ids].tolist()) == [1, 2, 3, 4]
-    sub.validate()
-
-
-def test_local_subgraph_empty_shard():
-    net = t2_network()
-    part = t2_partition(net)
-    s = shard(part, 5, 4)  # only 2 communities, so this shard is empty
-    sub = local_subgraph(net, s)
-    assert sub.node_count == 0 and sub.edge_count == 0
 
 
 def test_contingency_t1(t1_ground, t1_detected):
