@@ -1,26 +1,36 @@
 """Metric evaluation across the sequential, shared-memory, and ring backends.
 
+The runners only orchestrate: hand out shards, run the workers, merge their
+partial results and finish them; the metric modules own every formula.
 Every backend evaluates a family with the same worker code.  For the
 extrinsic families (info, matching, pair) worker p builds the contingency
-cells n_ij of the ground rows ``p::w`` with
-:func:`~commqual.graph.build_contingency` and reduces them per row; ``seq``
-is the one-worker run of that code, in process, whose single row slice is
-the whole table.  The backends differ only in the worker count and in where
-a worker's node -> detected label array comes from: ``seq`` and ``shm``
-workers read the parent's (``shm`` copy-on-write), ``ring`` workers scatter
-their own detected shard and each shard received in one circulation of the
-ring.  The three comparison runners first move both partitions into one
-dense label space 0..u-1 (:func:`_shared_labels`), so label-indexed arrays
-and ring messages scale with the u nodes covered, whatever the int64 ids.
+cells n_ij of its row slice of ground communities
+(:func:`~commqual.graph.shard` decides which) with
+:func:`~commqual.graph.build_contingency` and reduces them to the family's
+partial: :func:`~commqual.info_metrics.info_partial`,
+:meth:`~commqual.matching_metrics.MatchMaxima.from_contingency` or
+:func:`~commqual.pair_metrics.pair_partial`.  ``seq`` is the one-worker run
+of that code, in process, whose single row slice is the whole table.  The
+backends differ only in the worker count and in where a worker's node ->
+detected label array comes from: ``seq`` and ``shm`` workers read the
+parent's (``shm`` copy-on-write), ``ring`` workers scatter their own
+detected shard and each shard received in one circulation of the ring.  The
+three comparison runners first move both partitions into one dense label
+space 0..u-1 (:func:`_shared_labels`), so label-indexed arrays and ring
+messages scale with the u nodes covered, whatever the int64 ids.
 The intrinsic family runs
-:func:`~commqual.intrinsic_metrics.stats_from_labels` on the CSR rows of
-communities ``p::w`` of the shared network under both ``shm`` and ``ring``:
+:func:`~commqual.intrinsic_metrics.stats_from_labels` on the CSR rows of its
+shard of communities of the shared network under both ``shm`` and ``ring``:
 no subgraph is built and no message is sent.
 
-The parent writes the per-row or per-community partial results into arrays
-indexed by id and reduces them in one pass, as the intrinsic family's
-sequential :func:`~commqual.intrinsic_metrics.intrinsic_report` does, so
-float results are identical across backends and worker counts.
+The parent merges the partials in worker order with the family's exact
+merge: per-row VI/MI sums are added element-wise (a row outside a worker's
+slice holds +0.0), maxima by element-wise max, pair counts as exact
+integers.  The intrinsic workers return their shard's community ids with
+their per-community terms, which the parent scatters into arrays indexed by
+id and reduces in one pass, as the sequential
+:func:`~commqual.intrinsic_metrics.intrinsic_report` does.  So float results
+are identical across backends and worker counts.
 
 All entry points return ``(result, PhaseTiming)``.
 """
@@ -28,17 +38,20 @@ All entry points return ``(result, PhaseTiming)``.
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from ..graph import build_contingency, rank_labels, scatter_labels, shard
-from ..info_metrics import mi_row_terms, partition_entropy, vi_row_terms
-from ..matching_metrics import MatchMaxima, f_measure, nvd
+# InfoMetrics and MatchingMetrics are re-exported for the engine package
+from ..info_metrics import InfoMetrics, info_finish, info_partial  # noqa: F401
+from ..matching_metrics import (  # noqa: F401
+    MatchingMetrics, MatchMaxima, matching_finish,
+)
 from ..pair_metrics import (
-    PairCounts, adjusted_rand_index, choose2_sum, jaccard_index,
-    pair_counts_striped, rand_index,
+    PairMetrics, pair_counts_striped, pair_finish, pair_partial,
 )
 from ..intrinsic_metrics import (
     IntrinsicReport, StatsTable, community_measures, intrinsic_report,
@@ -47,26 +60,6 @@ from ..intrinsic_metrics import (
 from .transport import (
     RING, SEQ, BackendConfig, PhaseTiming, WorkerStats, run_workers,
 )
-
-
-@dataclass
-class InfoMetrics:
-    vi: float
-    nmi: float
-
-
-@dataclass
-class MatchingMetrics:
-    f_measure: float
-    nvd: float
-
-
-@dataclass
-class PairMetrics:
-    counts: PairCounts
-    rand: float
-    adjusted_rand: float
-    jaccard: float
 
 
 def _sequential_timing(compute_s):
@@ -100,122 +93,54 @@ def _circulated_labels(ctx, detected):
         return scatter_labels(ids, sizes, members)
 
 
-def _own_rows(ctx, ground, detected, detected_labels):
-    """This worker's row slice of the (ground x detected) contingency table.
-
-    ``detected_labels`` is the parent's node -> detected id array; on the
-    ring it is None and the labels come from one circulation of the detected
-    shards.
-    """
+def _row_worker(ctx, partial, ground, detected, detected_labels):
+    """``partial`` of this worker's row slice of the (ground x detected)
+    contingency table.  ``detected_labels`` is the parent's node -> detected
+    id array; on the ring it is None and the labels come from one
+    circulation of the detected shards."""
     if detected_labels is None:
         detected_labels = _circulated_labels(ctx, detected)
     with ctx.compute():
-        return build_contingency(ground, detected, detected_labels,
-                                 ctx.num_workers, ctx.worker_id)
+        return partial(build_contingency(ground, detected, detected_labels,
+                                         ctx.num_workers, ctx.worker_id))
 
 
-def _run_family(worker, args, config):
-    """``seq`` is the one-worker run, which executes inline."""
-    workers = 1 if config.backend == SEQ else config.num_workers
-    return run_workers(worker, args, workers, ring=config.backend == RING)
+def _merged(out, merge):
+    """The workers' payloads merged in worker order, and the run's timing."""
+    return (reduce(merge, [payload for payload, _ in out]),
+            PhaseTiming.from_workers([stats for _, stats in out]))
 
 
-def _run_rows(worker, ground, detected, config):
-    """Run a contingency-row worker.  ``seq`` and ``shm`` workers read the
-    parent's node -> detected id array; ring workers get None and circulate
-    the detected shards instead."""
-    labels = None if config.backend == RING else detected.node_map().comm_of
-    return _run_family(worker, (ground, detected, labels), config)
-
-
-def _gather_rows(out, key, num_rows, dtype=np.float64):
-    """Per-row worker results, written back to one array indexed by row id."""
-    w = len(out)
-    full = np.zeros(num_rows, dtype=dtype)
-    for p, (payload, _stats) in enumerate(out):
-        full[p::w] = payload[key]
-    return full
-
-
-# ---------------------------------------------------------------------------
-# Information-theoretic family
-# ---------------------------------------------------------------------------
-
-
-def _info_worker(ctx, ground, detected, detected_labels):
-    w, p = ctx.num_workers, ctx.worker_id
-    table = _own_rows(ctx, ground, detected, detected_labels)
-    with ctx.compute():
-        return {"vi": vi_row_terms(table)[p::w], "mi": mi_row_terms(table)[p::w]}
+def _run_rows(partial, merge, ground, detected, config):
+    """Run the row worker on every backend and merge its partials."""
+    ring = config.backend == RING
+    labels = None if ring else detected.node_map().comm_of
+    out = run_workers(_row_worker, (partial, ground, detected, labels),
+                      config.num_workers, ring=ring)
+    return _merged(out, merge)
 
 
 def run_info_metrics(ground, detected, config=None):
     """VI and NMI of detected against ground truth."""
-    config = config or BackendConfig()
     ground, detected = _shared_labels(ground, detected)
-    n = ground.universe_size
-    out = _run_rows(_info_worker, ground, detected, config)
-    k = len(ground)
-    vi_rows = _gather_rows(out, "vi", k)
-    mi_rows = _gather_rows(out, "mi", k)
-    h = partition_entropy(ground.sizes, n) + partition_entropy(detected.sizes, n)
-    result = InfoMetrics(
-        vi=-float(vi_rows.sum()) / n,
-        nmi=1.0 if h == 0.0 else 2.0 * float(mi_rows.sum()) / h,
-    )
-    return result, PhaseTiming.from_workers([s for _, s in out])
-
-
-# ---------------------------------------------------------------------------
-# Best-match family
-# ---------------------------------------------------------------------------
-
-
-def _matching_worker(ctx, ground, detected, detected_labels):
-    # max_d covers only this worker's rows; the parent's merge makes it exact
-    table = _own_rows(ctx, ground, detected, detected_labels)
-    with ctx.compute():
-        m = MatchMaxima.from_contingency(table)
-    return {"max_normed": m.max_normed, "max_t": m.max_t, "max_d": m.max_d}
+    rows, timing = _run_rows(info_partial, operator.add, ground, detected,
+                             config or BackendConfig())
+    return info_finish(rows, ground.sizes, detected.sizes,
+                       ground.universe_size), timing
 
 
 def run_matching_metrics(ground, detected, config=None):
     """F-measure and normalized Van Dongen distance."""
-    config = config or BackendConfig()
     ground, detected = _shared_labels(ground, detected)
-    n = ground.universe_size
-    out = _run_rows(_matching_worker, ground, detected, config)
-    merged = MatchMaxima.empty(len(ground), len(detected))
-    for payload, _stats in out:
-        merged = merged.merge(MatchMaxima(
-            payload["max_normed"], payload["max_t"], payload["max_d"]))
-    result = MatchingMetrics(
-        f_measure=f_measure(merged, ground.sizes, n),
-        nvd=nvd(merged, n),
-    )
-    return result, PhaseTiming.from_workers([s for _, s in out])
-
-
-# ---------------------------------------------------------------------------
-# Pair-counting family
-# ---------------------------------------------------------------------------
-
-
-def _pair_worker(ctx, ground, detected, detected_labels):
-    w, p = ctx.num_workers, ctx.worker_id
-    table = _own_rows(ctx, ground, detected, detected_labels)
-    with ctx.compute():
-        return {"a11": choose2_sum(table.counts),
-                "row_pairs": choose2_sum(ground.sizes[p::w]),
-                "col_pairs": choose2_sum(detected.sizes[p::w])}
+    maxima, timing = _run_rows(MatchMaxima.from_contingency, MatchMaxima.merge,
+                               ground, detected, config or BackendConfig())
+    return matching_finish(maxima, ground.sizes, ground.universe_size), timing
 
 
 def _pair_brute_worker(ctx, gmap, dmap):
     with ctx.compute():
-        counts = pair_counts_striped(gmap, dmap, num_stripes=ctx.num_workers,
-                                     stripe_id=ctx.worker_id)
-    return {"a11": counts.a11, "a10": counts.a10,
-            "a01": counts.a01, "a00": counts.a00}
+        return pair_counts_striped(gmap, dmap, num_stripes=ctx.num_workers,
+                                   stripe_id=ctx.worker_id)
 
 
 def run_pair_metrics(ground, detected, config=None, method="fast"):
@@ -240,27 +165,15 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     if method == "bruteforce":
         if config.backend == RING:
             raise ValueError("the ring backend has no brute-force mode")
-        out = _run_family(_pair_brute_worker,
-                          (ground.node_map(), detected.node_map()), config)
-        counts = PairCounts(0, 0, 0, 0)
-        for payload, _stats in out:
-            counts = counts + PairCounts(payload["a11"], payload["a10"],
-                                         payload["a01"], payload["a00"])
+        out = run_workers(_pair_brute_worker,
+                          (ground.node_map(), detected.node_map()),
+                          config.num_workers)
+        counts, timing = _merged(out, operator.add)
     else:
-        out = _run_rows(_pair_worker, ground, detected, config)
-        a11, row_pairs, col_pairs = (sum(payload[key] for payload, _ in out)
-                                     for key in ("a11", "row_pairs", "col_pairs"))
-        counts = PairCounts.from_pair_totals(a11, row_pairs, col_pairs, n)
-    return _pair_result(counts), PhaseTiming.from_workers([s for _, s in out])
-
-
-def _pair_result(counts):
-    return PairMetrics(
-        counts=counts,
-        rand=rand_index(counts),
-        adjusted_rand=adjusted_rand_index(counts),
-        jaccard=jaccard_index(counts),
-    )
+        a11, timing = _run_rows(pair_partial, operator.add, ground, detected,
+                                config)
+        counts = pair_finish(a11, ground.sizes, detected.sizes, n)
+    return PairMetrics.from_counts(counts), timing
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +182,12 @@ def _pair_result(counts):
 
 
 def _intrinsic_worker(ctx, network, partition, comm_of):
-    w, p = ctx.num_workers, ctx.worker_id
     m = network.edge_count
     with ctx.compute():
-        sh = shard(partition, w, p)
+        sh = shard(partition, ctx.num_workers, ctx.worker_id)
         table = stats_from_labels(network, comm_of, sh.comm_ids, sh.sizes,
                                   sh.members)
-        return {"q": modularity_terms(table, m),
+        return {"ids": sh.comm_ids, "q": modularity_terms(table, m),
                 "qds": modularity_density_terms(table, m, sizes=partition.sizes),
                 "in": table.in_edges, "out": table.out_edges,
                 "unassigned": table.unassigned_edges}
@@ -299,14 +211,16 @@ def run_intrinsic_metrics(network, partition, config=None):
     out = run_workers(
         _intrinsic_worker, (network, partition, node_labels(network, partition)),
         config.num_workers)
-    k = len(partition)
-    columns = {key: _gather_rows(out, key, k, dtype)
-               for key, dtype in (("q", np.float64), ("qds", np.float64),
-                                  ("in", np.int64), ("out", np.int64),
-                                  ("unassigned", np.int64))}
+    payloads = [payload for payload, _ in out]
+    ids = np.concatenate([payload["ids"] for payload in payloads])
+    columns = {}
+    for key, dtype in (("q", np.float64), ("qds", np.float64), ("in", np.int64),
+                       ("out", np.int64), ("unassigned", np.int64)):
+        columns[key] = np.zeros(len(partition), dtype=dtype)
+        columns[key][ids] = np.concatenate([payload[key] for payload in payloads])
     empty = np.empty(0, dtype=np.int64)
     table = StatsTable(
-        ids=np.arange(k, dtype=np.int64), size=partition.sizes,
+        ids=np.arange(len(partition), dtype=np.int64), size=partition.sizes,
         in_edges=columns["in"], out_edges=columns["out"],
         unassigned_edges=columns["unassigned"], ci=empty, cj=empty, cnt=empty)
     report = IntrinsicReport(

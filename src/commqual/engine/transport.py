@@ -48,6 +48,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend {self.backend!r}; pick from {BACKENDS}")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
+        if self.backend == SEQ:
+            self.num_workers = 1  # seq is the one-worker run, in process
 
 
 @dataclass

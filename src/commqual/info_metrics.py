@@ -16,6 +16,12 @@ LN2 = math.log(2.0)
 
 
 @dataclass
+class InfoMetrics:
+    vi: float
+    nmi: float
+
+
+@dataclass
 class ContingencyTable:
     """Sparse overlap table between a ground partition (rows) and a detected
     partition (columns).  Only nonzero cells are stored."""
@@ -80,16 +86,43 @@ def mi_row_terms(table):
     return _row_sums(table, (ov / n) * np.log(ov * n / denom))
 
 
-def variation_of_information(table):
-    """VI(C, C') = -(1/n) * sum_ij n_ij * log(n_ij^2 / (|c_i| |c'_j|)).
+def info_partial(table):
+    """Row 0: the per-row VI sums, row 1: the per-row MI sums, over every
+    ground row.  A row slice of the table leaves the other rows at +0.0 (a
+    sum that starts from zeros is never -0.0), so the partials of disjoint
+    slices merge exactly by element-wise ``+``."""
+    return np.stack((vi_row_terms(table), mi_row_terms(table)))
 
-    Zero overlaps contribute nothing (0 log 0 = 0); identical partitions give
-    exactly 0.
+
+def partition_entropy(sizes, universe_size):
+    """H = -sum |c|/n log(|c|/n); zero only for a single all-covering community."""
+    p = np.asarray(sizes, dtype=np.float64) / universe_size
+    return -float(np.sum(p * np.log(p)))
+
+
+def info_finish(rows, row_sizes, col_sizes, universe_size):
+    """VI and NMI from the merged :func:`info_partial` and the marginals.
+
+    VI(C, C') = -(1/n) sum_ij n_ij log(n_ij^2 / (|c_i| |c'_j|)); zero
+    overlaps contribute nothing (0 log 0 = 0) and identical partitions give
+    exactly +0.0.  NMI(C, C') = 2 I(C, C') / (H(C) + H(C')); when both
+    partitions are a single community covering the universe the entropies
+    vanish and the partitions are necessarily identical, which is defined
+    as 1.0.
     """
-    n = table.universe_size
+    n = universe_size
     if n <= 0:
         raise ValueError("empty universe")
-    return -float(vi_row_terms(table).sum()) / n
+    h = partition_entropy(row_sizes, n) + partition_entropy(col_sizes, n)
+    # 0.0 - x rather than -x: a zero VI sum must print as 0, not -0
+    return InfoMetrics(vi=0.0 - float(rows[0].sum()) / n,
+                       nmi=1.0 if h == 0.0 else 2.0 * float(rows[1].sum()) / h)
+
+
+def variation_of_information(table):
+    """VI(C, C') in nats; see :func:`info_finish`."""
+    return info_finish(info_partial(table), table.row_sizes, table.col_sizes,
+                       table.universe_size).vi
 
 
 def mutual_information(table):
@@ -99,24 +132,10 @@ def mutual_information(table):
     return float(mi_row_terms(table).sum())
 
 
-def partition_entropy(sizes, universe_size):
-    """H = -sum |c|/n log(|c|/n); zero only for a single all-covering community."""
-    p = np.asarray(sizes, dtype=np.float64) / universe_size
-    return -float(np.sum(p * np.log(p)))
-
-
 def normalized_mutual_information(table):
-    """NMI(C, C') = 2 I(C, C') / (H(C) + H(C')).
-
-    When both partitions consist of a single community covering the whole
-    universe the entropies vanish and the partitions are necessarily
-    identical; that degenerate case is defined as 1.0.
-    """
-    h_rows = partition_entropy(table.row_sizes, table.universe_size)
-    h_cols = partition_entropy(table.col_sizes, table.universe_size)
-    if h_rows + h_cols == 0.0:
-        return 1.0
-    return 2.0 * mutual_information(table) / (h_rows + h_cols)
+    """NMI(C, C'); see :func:`info_finish`."""
+    return info_finish(info_partial(table), table.row_sizes, table.col_sizes,
+                       table.universe_size).nmi
 
 
 def nats_to_bits(value):

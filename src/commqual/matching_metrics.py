@@ -8,12 +8,21 @@ Both reduce to three per-community maxima over the overlap table:
 
 The parallel engine computes them from row slices of the table: each slice
 gives the exact row maxima of its rows and a partial column maximum, and
-merging per-worker copies is an element-wise max.
+merging per-worker copies is an element-wise max.  :func:`matching_finish`
+turns the merged maxima into the metrics.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass
+class MatchingMetrics:
+    f_measure: float
+    nvd: float
 
 
 class MatchMaxima:
@@ -64,3 +73,9 @@ def nvd(maxima, universe_size):
         raise ValueError("empty universe")
     matched = int(maxima.max_t.sum()) + int(maxima.max_d.sum())
     return 1.0 - matched / (2.0 * universe_size)
+
+
+def matching_finish(maxima, row_sizes, universe_size):
+    """F-measure and NVD from the merged maxima and the ground sizes."""
+    return MatchingMetrics(f_measure=f_measure(maxima, row_sizes, universe_size),
+                           nvd=nvd(maxima, universe_size))

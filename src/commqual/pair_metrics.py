@@ -40,13 +40,6 @@ class PairCounts:
     def as_tuple(self):
         return (self.a11, self.a10, self.a01, self.a00)
 
-    @classmethod
-    def from_pair_totals(cls, a11, row_pairs, col_pairs, universe_size):
-        """Counts from a11 and the pairs together in each partition."""
-        total = universe_size * (universe_size - 1) // 2
-        return cls(a11, row_pairs - a11, col_pairs - a11,
-                   total - row_pairs - col_pairs + a11)
-
 
 def choose2_sum(values):
     """Exact sum of binomial(x, 2) over an integer array."""
@@ -126,17 +119,28 @@ def pair_counts_striped(map1, map2, num_stripes=1, stripe_id=0):
     return PairCounts(a11, a10, a01, a00)
 
 
-def pair_counts_fast(table):
-    """Closed-form counts from the contingency table.
+def pair_partial(table):
+    """a11 of a row slice: the pairs together in both partitions, exact.
+    Row slices partition the cells, so partials merge by ``+``."""
+    return choose2_sum(table.counts)
 
-    a11 and the marginal pair totals are sums of binomial(x, 2) over cells and
-    community sizes; a00 is the complement.  O(nonzero cells).
-    """
+
+def pair_finish(a11, row_sizes, col_sizes, universe_size):
+    """Counts from the merged a11 and the full marginals: the pairs together
+    in each partition are sums of binomial(x, 2) over community sizes, and
+    a00 is the complement."""
+    row_pairs, col_pairs = choose2_sum(row_sizes), choose2_sum(col_sizes)
+    total = universe_size * (universe_size - 1) // 2
+    return PairCounts(a11, row_pairs - a11, col_pairs - a11,
+                      total - row_pairs - col_pairs + a11)
+
+
+def pair_counts_fast(table):
+    """Closed-form counts from the contingency table.  O(nonzero cells)."""
     if table.total != table.universe_size:
         raise ValueError("pair counting requires full universe coverage")
-    return PairCounts.from_pair_totals(
-        choose2_sum(table.counts), choose2_sum(table.row_sizes),
-        choose2_sum(table.col_sizes), table.universe_size)
+    return pair_finish(pair_partial(table), table.row_sizes, table.col_sizes,
+                       table.universe_size)
 
 
 def rand_index(counts):
@@ -173,3 +177,17 @@ def jaccard_index(counts):
     if denom == 0:
         return 1.0
     return counts.a11 / denom
+
+
+@dataclass
+class PairMetrics:
+    counts: PairCounts
+    rand: float
+    adjusted_rand: float
+    jaccard: float
+
+    @classmethod
+    def from_counts(cls, counts):
+        return cls(counts=counts, rand=rand_index(counts),
+                   adjusted_rand=adjusted_rand_index(counts),
+                   jaccard=jaccard_index(counts))

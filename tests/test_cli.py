@@ -80,6 +80,29 @@ def test_compare_backend_workers_identical_output(capsys, t1_files):
     assert len(set(outputs)) == 1  # metric output independent of backend
 
 
+@pytest.mark.parametrize("backend,workers", [("seq", 1), ("shm", 2), ("ring", 2)])
+def test_self_compare_prints_positive_zero_vi(capsys, t1_files, backend, workers):
+    gt, _ = t1_files
+    argv = ("compare", "--ground-truth", str(gt), "--detected", str(gt),
+            "--universe", "6", "--backend", backend, "--workers", str(workers))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "VI         0.000000" in out.splitlines()
+    code, out, _ = run_cli(capsys, *argv, "--csv")
+    assert code == 0
+    assert "vi,0.0" in out.splitlines()
+
+
+def test_seq_banner_reports_one_worker(capsys, t1_files):
+    gt, det = t1_files
+    code, _, err = run_cli(capsys, "compare", "--ground-truth", str(gt),
+                           "--detected", str(det), "--universe", "6",
+                           "--backend", "seq", "--workers", "4")
+    assert code == 0
+    assert "backend=seq workers=1" in err.splitlines()[0]
+    assert "workers=4" not in err
+
+
 def test_csv_output_byte_identical_across_backends(capsys, tmp_path):
     # floats, not only counts, must not depend on backend or worker count
     network, ground = generate_network(GeneratorParams(node_count=2000, seed=3))

@@ -82,6 +82,7 @@ def test_self_match_identities_on_sparse_labels(case, step):
     labels, _d_labels, perm = case
     part = from_labels(labels, [p * step + 7 for p in perm])
     info, matching, pair = compare(part, part)
+    assert math.copysign(1.0, info.vi) == 1.0  # +0.0, never -0.0
     assert pair.counts.a10 == pair.counts.a01 == 0
     for value, target in [(info.vi, 0.0), (info.nmi, 1.0),
                           (matching.f_measure, 1.0), (matching.nvd, 0.0),

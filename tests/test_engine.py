@@ -82,6 +82,13 @@ def test_backend_config_validation():
         BackendConfig(num_workers=0)
 
 
+def test_seq_is_one_worker():
+    assert BackendConfig("seq", 4).num_workers == 1
+    assert BackendConfig("shm", 4).num_workers == 4
+    with pytest.raises(ValueError):
+        BackendConfig("seq", 0)
+
+
 def test_worker_failure_surfaces():
     def boom(ctx, x):
         if ctx.worker_id == 1:

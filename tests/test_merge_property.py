@@ -1,0 +1,72 @@
+"""Each comparison family's partial over the row slices of a contingency
+table, merged as the engine merges worker payloads, against the partial of
+the whole table (bit for bit), and its finish against the library calls.
+Slices are built in process with ``build_contingency(g, d, None, w, p)``, so
+nothing forks; this is the comparison-side analogue of the intrinsic
+worker-shard property."""
+
+import operator
+from functools import reduce
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from commqual.graph import Partition, build_contingency  # noqa: E402
+from commqual.info_metrics import (  # noqa: E402
+    info_finish, info_partial, normalized_mutual_information,
+    variation_of_information,
+)
+from commqual.matching_metrics import MatchMaxima  # noqa: E402
+from commqual.pair_metrics import (  # noqa: E402
+    pair_counts_fast, pair_finish, pair_partial,
+)
+
+
+def from_labels(labels):
+    """Partition grouping node v by ``labels[v]``; -1 leaves v unassigned."""
+    return Partition([[v for v, x in enumerate(labels) if x == c]
+                      for c in sorted(set(labels) - {-1})], len(labels))
+
+
+@st.composite
+def partition_pair(draw):
+    n = draw(st.integers(1, 40))
+    # half the cases cover every node, so pair counting applies
+    low = draw(st.sampled_from([-1, 0]))
+    labels = st.lists(st.integers(low, 7), min_size=n, max_size=n).filter(
+        lambda xs: max(xs) >= 0)
+    return from_labels(draw(labels)), from_labels(draw(labels))
+
+
+def bits(a):
+    return np.asarray(a).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_pair(), st.sampled_from([1, 2, 3]))
+def test_merged_row_slices_equal_the_whole_table(case, w):
+    ground, detected = case
+    n = ground.universe_size
+    whole = build_contingency(ground, detected)
+    slices = [build_contingency(ground, detected, None, w, p) for p in range(w)]
+
+    rows = reduce(operator.add, [info_partial(t) for t in slices])
+    assert bits(rows) == bits(info_partial(whole))
+    info = info_finish(rows, ground.sizes, detected.sizes, n)
+    assert repr(info.vi) == repr(variation_of_information(whole))
+    assert repr(info.nmi) == repr(normalized_mutual_information(whole))
+
+    maxima = reduce(MatchMaxima.merge,
+                    [MatchMaxima.from_contingency(t) for t in slices])
+    want = MatchMaxima.from_contingency(whole)
+    for key in MatchMaxima.__slots__:
+        assert bits(getattr(maxima, key)) == bits(getattr(want, key)), key
+
+    a11 = reduce(operator.add, [pair_partial(t) for t in slices])
+    assert a11 == pair_partial(whole)
+    if whole.total == n:
+        assert (pair_finish(a11, ground.sizes, detected.sizes, n)
+                == pair_counts_fast(whole))
