@@ -15,7 +15,6 @@ from .graph import (
 )
 from .info_metrics import (
     ContingencyTable,
-    mutual_information,
     nats_to_bits,
     normalized_mutual_information,
     variation_of_information,
@@ -50,7 +49,6 @@ from .engine import (
     PhaseTiming,
     RingMessage,
     WorkerStats,
-    ring_topology,
     run_info_metrics,
     run_intrinsic_metrics,
     run_matching_metrics,

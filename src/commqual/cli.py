@@ -289,8 +289,7 @@ def cmd_generate(args):
         for members in ground.communities:
             fh.write(" ".join(map(str, members.tolist())) + "\n")
 
-    stats = community_stats(network, ground)
-    out_ends = sum(s.out_edges for s in stats)
+    out_ends = int(community_stats(network, ground).out_edges.sum())
     mixing = out_ends / (2.0 * network.edge_count)
     mean_degree = 2.0 * network.edge_count / network.node_count
     print(f"wrote {edges_path} ({network.edge_count} edges) and "

@@ -10,7 +10,6 @@ from .transport import (
     PhaseTiming,
     RingMessage,
     WorkerStats,
-    ring_topology,
     run_workers,
 )
 from .runners import (
@@ -26,7 +25,7 @@ from .runners import (
 __all__ = [
     "BACKENDS", "RING", "SEQ", "SHM",
     "BackendConfig", "EngineError", "PhaseTiming", "RingMessage",
-    "WorkerStats", "ring_topology", "run_workers",
+    "WorkerStats", "run_workers",
     "InfoMetrics", "MatchingMetrics", "PairMetrics",
     "run_info_metrics", "run_intrinsic_metrics",
     "run_matching_metrics", "run_pair_metrics",

@@ -19,27 +19,24 @@ three comparison runners first move both partitions into one dense label
 space 0..u-1 (:func:`_shared_labels`), so label-indexed arrays and ring
 messages scale with the u nodes covered, whatever the int64 ids.
 The intrinsic family runs
-:func:`~commqual.intrinsic_metrics.stats_from_labels` on the CSR rows of its
-shard of communities of the shared network under both ``shm`` and ``ring``:
-no subgraph is built and no message is sent.
+:func:`~commqual.intrinsic_metrics.intrinsic_partial` on its shard of
+communities of the shared network under every backend: the worker reads the
+CSR rows of its communities' members, builds no subgraph and sends no
+message, and ``seq`` is again the one-worker run.
 
 The parent merges the partials in worker order with the family's exact
 merge: per-row VI/MI sums are added element-wise (a row outside a worker's
 slice holds +0.0), maxima by element-wise max, pair counts as exact
-integers.  The intrinsic workers return their shard's community ids with
-their per-community terms, which the parent scatters into arrays indexed by
-id and reduces in one pass, as the sequential
-:func:`~commqual.intrinsic_metrics.intrinsic_report` does.  So float results
-are identical across backends and worker counts.
+integers, and :func:`~commqual.intrinsic_metrics.intrinsic_finish` places
+the intrinsic columns by community id and sums the Q and Qds terms exactly
+rounded.  So float results are identical across backends and worker counts.
 
 All entry points return ``(result, PhaseTiming)``.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-import time
 from functools import reduce
 
 import numpy as np
@@ -53,18 +50,8 @@ from ..matching_metrics import (  # noqa: F401
 from ..pair_metrics import (
     PairMetrics, pair_counts_striped, pair_finish, pair_partial,
 )
-from ..intrinsic_metrics import (
-    IntrinsicReport, StatsTable, community_measures, intrinsic_report,
-    modularity_density_terms, modularity_terms, node_labels, stats_from_labels,
-)
-from .transport import (
-    RING, SEQ, BackendConfig, PhaseTiming, WorkerStats, run_workers,
-)
-
-
-def _sequential_timing(compute_s):
-    stats = WorkerStats(worker_id=0, total_s=compute_s, compute_s=compute_s)
-    return PhaseTiming.from_workers([stats])
+from ..intrinsic_metrics import intrinsic_finish, intrinsic_partial
+from .transport import RING, BackendConfig, PhaseTiming, run_workers
 
 
 def _shared_labels(ground, detected):
@@ -181,16 +168,10 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
 # ---------------------------------------------------------------------------
 
 
-def _intrinsic_worker(ctx, network, partition, comm_of):
-    m = network.edge_count
+def _intrinsic_worker(ctx, network, partition):
     with ctx.compute():
-        sh = shard(partition, ctx.num_workers, ctx.worker_id)
-        table = stats_from_labels(network, comm_of, sh.comm_ids, sh.sizes,
-                                  sh.members)
-        return {"ids": sh.comm_ids, "q": modularity_terms(table, m),
-                "qds": modularity_density_terms(table, m, sizes=partition.sizes),
-                "in": table.in_edges, "out": table.out_edges,
-                "unassigned": table.unassigned_edges}
+        return intrinsic_partial(network, partition, ctx.num_workers,
+                                 ctx.worker_id)
 
 
 def run_intrinsic_metrics(network, partition, config=None):
@@ -200,31 +181,9 @@ def run_intrinsic_metrics(network, partition, config=None):
         raise ValueError("partition references nodes beyond the network")
     if network.edge_count <= 0:
         raise ValueError("network has no edges")
-
-    if config.backend == SEQ:
-        t0 = time.perf_counter()
-        report = intrinsic_report(network, partition)
-        return report, _sequential_timing(time.perf_counter() - t0)
-
     # every worker reads the network it needs from the shared CSR, so even
     # the ring backend opens no circulation
-    out = run_workers(
-        _intrinsic_worker, (network, partition, node_labels(network, partition)),
-        config.num_workers)
-    payloads = [payload for payload, _ in out]
-    ids = np.concatenate([payload["ids"] for payload in payloads])
-    columns = {}
-    for key, dtype in (("q", np.float64), ("qds", np.float64), ("in", np.int64),
-                       ("out", np.int64), ("unassigned", np.int64)):
-        columns[key] = np.zeros(len(partition), dtype=dtype)
-        columns[key][ids] = np.concatenate([payload[key] for payload in payloads])
-    empty = np.empty(0, dtype=np.int64)
-    table = StatsTable(
-        ids=np.arange(len(partition), dtype=np.int64), size=partition.sizes,
-        in_edges=columns["in"], out_edges=columns["out"],
-        unassigned_edges=columns["unassigned"], ci=empty, cj=empty, cnt=empty)
-    report = IntrinsicReport(
-        q=math.fsum(columns["q"]), qds=math.fsum(columns["qds"]),
-        total_edges=network.edge_count, rows=community_measures(table),
-    )
-    return report, PhaseTiming.from_workers([s for _, s in out])
+    out = run_workers(_intrinsic_worker, (network, partition),
+                      config.num_workers)
+    return (intrinsic_finish([payload for payload, _ in out], network, partition),
+            PhaseTiming.from_workers([stats for _, stats in out]))

@@ -103,14 +103,6 @@ class PhaseTiming:
         return sum(s.messages_sent for s in self.workers)
 
 
-def ring_topology(num_workers):
-    """(receive-from, send-to) neighbor pair for each worker on the ring."""
-    if num_workers < 1:
-        raise ValueError("num_workers must be at least 1")
-    w = num_workers
-    return [((p - 1) % w, (p + 1) % w) for p in range(w)]
-
-
 # ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------

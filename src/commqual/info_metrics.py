@@ -125,13 +125,6 @@ def variation_of_information(table):
                        table.universe_size).vi
 
 
-def mutual_information(table):
-    """I(C, C') in nats, from the same overlap table."""
-    if table.universe_size <= 0:
-        raise ValueError("empty universe")
-    return float(mi_row_terms(table).sum())
-
-
 def normalized_mutual_information(table):
     """NMI(C, C'); see :func:`info_finish`."""
     return info_finish(info_partial(table), table.row_sizes, table.col_sizes,

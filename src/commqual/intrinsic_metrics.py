@@ -10,8 +10,11 @@ edge counts, plus the cross-community cells sorted by (community, neighbour).
 Every metric below is an array expression over that table, evaluated
 element by element, so a worker that runs the kernel on communities
 ``p::w`` gets each community's terms bit for bit as the whole-partition run
-does.  A plain list of :class:`CommunityStats` is accepted wherever a table
-is and converted to one.
+does.  The module owns the family's partial and finish:
+:func:`intrinsic_partial` is one worker's community ids with their terms and
+edge counts, and :func:`intrinsic_finish` places the partials' columns by
+community id and reduces them.  :func:`intrinsic_report` is the one-worker
+call of the two, which every engine backend repeats at its worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import concat_ranges
+from .graph import concat_ranges, shard
 
 
 @dataclass
@@ -88,30 +91,6 @@ class StatsTable:
             lo, hi = bounds[i], bounds[i + 1]
             yield CommunityStats(k, size, inn, out,
                                  dict(zip(cj[lo:hi], cnt[lo:hi])), una)
-
-    @classmethod
-    def from_stats(cls, stats):
-        """The table of a sequence of :class:`CommunityStats`; neighbours are
-        listed in ascending id order."""
-        if isinstance(stats, cls):
-            return stats
-        stats = list(stats)
-        cells = sorted((i, j, e) for i, s in enumerate(stats)
-                       for j, e in s.neighbor_edges.items())
-
-        def col(values):
-            return np.array(values, dtype=np.int64).reshape(-1)
-
-        return cls(
-            ids=col([s.community_id for s in stats]),
-            size=col([s.size for s in stats]),
-            in_edges=col([s.in_edges for s in stats]),
-            out_edges=col([s.out_edges for s in stats]),
-            unassigned_edges=col([s.unassigned_edges for s in stats]),
-            ci=col([c[0] for c in cells]),
-            cj=col([c[1] for c in cells]),
-            cnt=col([c[2] for c in cells]),
-        )
 
 
 @dataclass
@@ -256,9 +235,9 @@ def modularity_terms(stats, total_edges):
     order."""
     if total_edges <= 0:
         raise ValueError("network has no edges")
-    t = StatsTable.from_stats(stats)
     m = float(total_edges)
-    return t.in_edges / m - _squares((2 * t.in_edges + t.out_edges) / (2 * m))
+    return stats.in_edges / m - _squares(
+        (2 * stats.in_edges + stats.out_edges) / (2 * m))
 
 
 def modularity(stats, total_edges):
@@ -275,29 +254,24 @@ def modularity_density_terms(stats, total_edges, sizes=None):
     """
     if total_edges <= 0:
         raise ValueError("network has no edges")
-    t = StatsTable.from_stats(stats)
     m = float(total_edges)
-    d_c = _internal_density(t)
-    terms = t.in_edges / m * d_c
-    terms -= _squares((2 * t.in_edges + t.out_edges) / (2 * m) * d_c)
-    d_cc = t.cnt / (t.size[t.ci] * _size_of(t, sizes).astype(np.float64))
-    np.subtract.at(terms, t.ci, t.cnt / (2 * m) * d_cc)
+    inn, out, cnt, ci = stats.in_edges, stats.out_edges, stats.cnt, stats.ci
+    d_c = _internal_density(stats)
+    terms = inn / m * d_c
+    terms -= _squares((2 * inn + out) / (2 * m) * d_c)
+    d_cc = cnt / (stats.size[ci] * _size_of(stats, sizes).astype(np.float64))
+    np.subtract.at(terms, ci, cnt / (2 * m) * d_cc)
     return terms
 
 
 def _size_of(t, sizes):
     """Sizes of the neighbour ids ``t.cj``, from ``sizes`` (an array indexed
-    by community id, or a mapping) or, by default, from the table itself."""
-    if sizes is None:
-        keys, values = t.ids, t.size
-    elif isinstance(sizes, dict):
-        keys = np.fromiter(sizes.keys(), dtype=np.int64, count=len(sizes))
-        values = np.fromiter(sizes.values(), dtype=np.int64, count=len(sizes))
-    else:
+    by community id) or, by default, from the table itself."""
+    if sizes is not None:
         return np.asarray(sizes, dtype=np.int64)[t.cj]
-    lookup = np.full(max(keys.max(initial=-1), t.cj.max(initial=-1)) + 1, -1,
+    lookup = np.full(max(t.ids.max(initial=-1), t.cj.max(initial=-1)) + 1, -1,
                      dtype=np.int64)
-    lookup[keys] = values
+    lookup[t.ids] = t.size
     found = lookup[t.cj]
     if (found < 0).any():
         raise KeyError(f"no size for neighbouring community {t.cj[found < 0][0]}")
@@ -310,8 +284,8 @@ def modularity_density(stats, total_edges, sizes=None):
     Each community's term weighs the modularity contribution by its internal
     pair density and subtracts, per neighboring community, the product of
     shared edge fraction and cross-pair density.  ``sizes`` gives the size of
-    each community id (a mapping, or an array indexed by id) and is required
-    when ``stats`` does not cover all communities;
+    each community id (an array indexed by id, such as ``Partition.sizes``)
+    and is required when ``stats`` does not cover all communities;
     single-node communities have internal density 0 by convention.  Terms are
     summed exactly rounded, as in :func:`modularity`.
     """
@@ -320,24 +294,60 @@ def modularity_density(stats, total_edges, sizes=None):
 
 def community_measures(stats):
     """Expand stats into the six per-community measures."""
-    t = StatsTable.from_stats(stats)
-    nc, inn, out = t.size, t.in_edges, t.out_edges
+    nc, inn, out = stats.size, stats.in_edges, stats.out_edges
     volume = 2 * inn + out
     degenerate = volume == 0
     conductance = np.zeros(nc.size)
     np.divide(out, volume, out=conductance, where=~degenerate)
-    columns = (t.ids, nc, inn, _internal_density(t), 2.0 * inn / nc, out,
-               out / nc, conductance, degenerate)
+    columns = (stats.ids, nc, inn, _internal_density(stats), 2.0 * inn / nc,
+               out, out / nc, conductance, degenerate)
     return [CommunityRow(*values)
             for values in zip(*(c.tolist() for c in columns))]
 
 
+def intrinsic_partial(network, partition, num_workers=1, worker_id=0):
+    """Worker ``worker_id``'s share of the intrinsic metrics: the ids of its
+    communities under :func:`~commqual.graph.shard`, with their Q and Qds
+    terms and their internal, boundary and unassigned edge counts.  The
+    terms are those of the whole-partition table, bit for bit, because each
+    is computed element by element and Qds reads neighbour sizes from
+    ``partition.sizes``."""
+    ids = shard(partition, num_workers, worker_id).comm_ids
+    table = community_stats(network, partition, ids)
+    m = network.edge_count
+    return {"ids": table.ids, "q": modularity_terms(table, m),
+            "qds": modularity_density_terms(table, m, sizes=partition.sizes),
+            "in": table.in_edges, "out": table.out_edges,
+            "unassigned": table.unassigned_edges}
+
+
+def intrinsic_finish(partials, network, partition):
+    """The :class:`IntrinsicReport` of :func:`intrinsic_partial` results
+    that together hold every community once.  Each column is placed by
+    community id, so the rows come out in id order however the communities
+    were sharded, and Q and Qds are exactly rounded sums (``math.fsum``), so
+    they do not depend on the grouping either."""
+    ids = np.concatenate([partial["ids"] for partial in partials])
+
+    def column(key):
+        values = np.concatenate([partial[key] for partial in partials])
+        placed = np.zeros(len(partition), dtype=values.dtype)
+        placed[ids] = values
+        return placed
+
+    empty = np.empty(0, dtype=np.int64)
+    table = StatsTable(
+        ids=np.arange(len(partition), dtype=np.int64), size=partition.sizes,
+        in_edges=column("in"), out_edges=column("out"),
+        unassigned_edges=column("unassigned"), ci=empty, cj=empty, cnt=empty)
+    return IntrinsicReport(q=math.fsum(column("q")),
+                           qds=math.fsum(column("qds")),
+                           total_edges=network.edge_count,
+                           rows=community_measures(table))
+
+
 def intrinsic_report(network, partition):
-    """Full sequential evaluation: Q, Qds, and all per-community rows."""
-    stats = community_stats(network, partition)
-    return IntrinsicReport(
-        q=modularity(stats, network.edge_count),
-        qds=modularity_density(stats, network.edge_count),
-        total_edges=network.edge_count,
-        rows=community_measures(stats),
-    )
+    """Q, Qds, and all per-community rows: the one-worker run of
+    :func:`intrinsic_partial` and :func:`intrinsic_finish`."""
+    return intrinsic_finish([intrinsic_partial(network, partition)], network,
+                            partition)

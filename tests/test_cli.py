@@ -321,6 +321,25 @@ def test_generate_and_roundtrip(capsys, tmp_path):
     assert "q," in out
 
 
+def test_generate_prints_realized_mixing(capsys, tmp_path):
+    prefix = str(tmp_path / "synth")
+    code, out, _ = run_cli(capsys, "generate", "--nodes", "400",
+                           "--mixing", "0.4", "--seed", "5", "--out", prefix)
+    assert code == 0
+    printed = out.split("realized_mixing=")[1].split()[0]
+    # every node is in one planted community, so the mixing is the fraction
+    # of edges whose endpoints lie in different communities
+    community_of = {}
+    for k, line in enumerate((tmp_path / "synth.cmty").read_text().splitlines()):
+        for v in line.split():
+            community_of[int(v)] = k
+    edges = [tuple(map(int, line.split()))
+             for line in (tmp_path / "synth.edges").read_text().splitlines()]
+    assert len(community_of) == 400
+    crossing = sum(community_of[u] != community_of[v] for u, v in edges)
+    assert printed == f"{crossing / len(edges):.3f}"
+
+
 def test_generate_rejects_bad_params(capsys, tmp_path):
     code, _, err = run_cli(capsys, "generate", "--nodes", "100",
                            "--mixing", "2.0", "--out", str(tmp_path / "x"))

@@ -6,8 +6,8 @@ import pytest
 
 from commqual.engine import (
     BackendConfig, EngineError, PhaseTiming, RingMessage, WorkerStats,
-    ring_topology, run_info_metrics, run_intrinsic_metrics,
-    run_matching_metrics, run_pair_metrics, run_workers,
+    run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
+    run_pair_metrics, run_workers,
 )
 from commqual.graph import Partition, shard
 from conftest import (
@@ -29,13 +29,6 @@ def cfg(backend, workers):
 # ---------------------------------------------------------------------------
 # transport pieces
 # ---------------------------------------------------------------------------
-
-
-def test_ring_topology():
-    assert ring_topology(1) == [(0, 0)]
-    assert ring_topology(4) == [(3, 1), (0, 2), (1, 3), (2, 0)]
-    with pytest.raises(ValueError):
-        ring_topology(0)
 
 
 def test_wire_roundtrip():
@@ -267,6 +260,33 @@ def test_more_workers_than_communities(t1_ground, t1_detected):
         assert res.vi == pytest.approx(T1_EXPECTED["vi"], abs=1e-6)
         pair, _ = run_pair_metrics(t1_ground, t1_detected, cfg(backend, 5))
         assert pair.counts.as_tuple() == T1_EXPECTED["counts"]
+
+
+def test_intrinsic_seq_is_the_one_worker_run(random_case):
+    net, part = random_case["net"], random_case["ground"]
+    seq, timing = run_intrinsic_metrics(net, part)
+    assert timing.num_workers == 1
+    for backend in ("shm", "ring"):
+        rep, timing = run_intrinsic_metrics(net, part, cfg(backend, 3))
+        assert timing.num_workers == 3
+        assert repr(rep) == repr(seq), backend
+
+
+def test_in_process_run_calls_community_stats_once(random_case, monkeypatch):
+    # perfbench's tracer reads the whole partition's neighbour cells from the
+    # one module-global community_stats call of an in-process run
+    from commqual import intrinsic_metrics
+    calls = []
+    kernel = intrinsic_metrics.community_stats
+
+    def counting(*args, **kwargs):
+        calls.append(kernel(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(intrinsic_metrics, "community_stats", counting)
+    net, part = random_case["net"], random_case["ground"]
+    run_intrinsic_metrics(net, part)
+    assert [len(table) for table in calls] == [len(part)]
 
 
 def test_intrinsic_ring_sends_nothing(random_case):

@@ -121,11 +121,10 @@ def test_neighbor_size_lookup():
     part = random_partition(rng, 80, 6)
     full_stats = community_stats(net, part)
     whole = modularity_density(full_stats, net.edge_count)
-    sizes = {k: int(sz) for k, sz in enumerate(part.sizes)}
     parts = sum(
         modularity_density(
             community_stats(net, part, community_ids=[k]),
-            net.edge_count, sizes=sizes)
+            net.edge_count, sizes=part.sizes)
         for k in range(len(part)))
     assert parts == pytest.approx(whole, abs=1e-12)
 
@@ -158,7 +157,11 @@ def test_modularity_matches_networkx(t2):
 def test_terms_square_as_python_floats_do():
     # (33 / 82) ** 2 and (33 / 82) * (33 / 82) differ in the last bit; a term
     # keeps the value of the scalar formula
-    from commqual.intrinsic_metrics import CommunityStats, modularity_terms
+    from commqual.intrinsic_metrics import StatsTable, modularity_terms
     x = (2 * 10 + 13) / (2 * 41.0)
     assert x ** 2 != x * x
-    assert modularity_terms([CommunityStats(0, 5, 10, 13)], 41)[0] == 10 / 41 - x ** 2
+    one, empty = np.ones(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    row = StatsTable(ids=0 * one, size=5 * one, in_edges=10 * one,
+                     out_edges=13 * one, unassigned_edges=0 * one,
+                     ci=empty, cj=empty, cnt=empty)
+    assert modularity_terms(row, 41)[0] == 10 / 41 - x ** 2

@@ -10,12 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
-from commqual.engine.runners import _intrinsic_worker  # noqa: E402
-from commqual.engine.transport import WorkerContext  # noqa: E402
 from commqual.graph import Network, Partition  # noqa: E402
 from commqual.intrinsic_metrics import (  # noqa: E402
-    community_stats, modularity, modularity_density, modularity_density_terms,
-    modularity_terms, node_labels,
+    community_stats, intrinsic_partial, modularity, modularity_density,
+    modularity_density_terms, modularity_terms,
 )
 
 
@@ -96,10 +94,10 @@ def test_worker_shards_repeat_whole_partition_terms(case):
             "qds": modularity_density_terms(whole, m),
             "in": whole.in_edges, "out": whole.out_edges,
             "unassigned": whole.unassigned_edges}
-    comm_of = node_labels(net, part)
     for w in (1, 2, 3):
         for p in range(w):
-            got = _intrinsic_worker(WorkerContext(p, w), net, part, comm_of)
+            got = intrinsic_partial(net, part, w, p)
+            assert got["ids"].tolist() == list(range(len(part)))[p::w]
             for key in ("q", "qds"):
                 assert bits(got[key]) == bits(want[key][p::w]), (key, w, p)
             for key in ("in", "out", "unassigned"):

@@ -2,8 +2,8 @@
 table, merged as the engine merges worker payloads, against the partial of
 the whole table (bit for bit), and its finish against the library calls.
 Slices are built in process with ``build_contingency(g, d, None, w, p)``, so
-nothing forks; this is the comparison-side analogue of the intrinsic
-worker-shard property."""
+nothing forks.  Likewise the intrinsic partials of the ``w`` community
+shards, finished together, against the one-worker library call."""
 
 import operator
 from functools import reduce
@@ -14,10 +14,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from commqual.graph import Partition, build_contingency  # noqa: E402
+from commqual.graph import Network, Partition, build_contingency  # noqa: E402
 from commqual.info_metrics import (  # noqa: E402
     info_finish, info_partial, normalized_mutual_information,
     variation_of_information,
+)
+from commqual.intrinsic_metrics import (  # noqa: E402
+    intrinsic_finish, intrinsic_partial, intrinsic_report,
 )
 from commqual.matching_metrics import MatchMaxima  # noqa: E402
 from commqual.pair_metrics import (  # noqa: E402
@@ -70,3 +73,29 @@ def test_merged_row_slices_equal_the_whole_table(case, w):
     if whole.total == n:
         assert (pair_finish(a11, ground.sizes, detected.sizes, n)
                 == pair_counts_fast(whole))
+
+
+@st.composite
+def network_and_partition(draw):
+    """A network on ``n`` nodes, some isolated, and a partition that may leave
+    nodes unassigned or alone in their community."""
+    n = draw(st.integers(2, 24))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=60))
+    pairs = [(u, v) for u, v in pairs if u != v] or [(0, 1)]
+    labels = draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n).filter(
+        lambda xs: max(xs) >= 0))
+    u, v = zip(*pairs)
+    return Network.from_edge_array(u, v, node_count=n), from_labels(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(network_and_partition(), st.sampled_from([1, 2, 3]))
+def test_intrinsic_shards_finish_as_the_library_call(case, w):
+    net, part = case
+    got = intrinsic_finish([intrinsic_partial(net, part, w, p) for p in range(w)],
+                           net, part)
+    want = intrinsic_report(net, part)
+    assert (repr(got.q), repr(got.qds)) == (repr(want.q), repr(want.qds))
+    assert got.total_edges == want.total_edges
+    assert [repr(row) for row in got.rows] == [repr(row) for row in want.rows]
