@@ -23,7 +23,9 @@ from .engine.runners import (
     run_pair_metrics,
 )
 
-FAMILIES = ("info", "matching", "pair", "intrinsic")
+_RUNNERS = {"info": run_info_metrics, "matching": run_matching_metrics,
+            "pair": run_pair_metrics, "intrinsic": run_intrinsic_metrics}
+FAMILIES = tuple(_RUNNERS)
 
 
 class StudyError(RuntimeError):
@@ -242,38 +244,20 @@ class ScalingResult:
         return text
 
 
-def _family_values(family, result):
-    if family == "info":
-        return ("approx", (result.vi, result.nmi))
-    if family == "matching":
-        return ("approx", (result.f_measure, result.nvd))
-    if family == "pair":
-        return ("exact", result.counts.as_tuple())
-    if family == "intrinsic":
-        return ("approx", (result.q, result.qds))
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _run_family(family, backend, workers, inputs, method):
+    """The family's reported values on ``inputs`` (a tuple of the runner's
+    positional inputs), and the run's timing."""
     config = BackendConfig(backend=backend, num_workers=workers)
-    if family == "info":
-        res, timing = run_info_metrics(inputs["ground"], inputs["detected"], config)
-    elif family == "matching":
-        res, timing = run_matching_metrics(inputs["ground"], inputs["detected"], config)
-    elif family == "pair":
-        res, timing = run_pair_metrics(inputs["ground"], inputs["detected"],
-                                       config, method=method)
-    elif family == "intrinsic":
-        res, timing = run_intrinsic_metrics(inputs["network"], inputs["ground"], config)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return _family_values(family, res), timing
+    options = {"method": method} if family == "pair" else {}
+    result, timing = _RUNNERS[family](*inputs, config, **options)
+    return result.values(), timing
 
 
-def _values_match(kind, a, b):
-    if kind == "exact":
-        return a == b
-    return all(isclose(x, y, rel_tol=1e-9, abs_tol=1e-12) for x, y in zip(a, b))
+def _values_match(a, b):
+    """Counts must agree exactly, floats to within rounding."""
+    return all(x == y if isinstance(x, int)
+               else isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+               for x, y in zip(a, b))
 
 
 def run_scaling_study(family, backend, worker_counts, *, ground=None,
@@ -299,11 +283,11 @@ def run_scaling_study(family, backend, worker_counts, *, ground=None,
     if family == "intrinsic":
         if network is None or ground is None:
             raise ValueError("intrinsic study needs network= and ground=")
-        inputs = {"network": network, "ground": ground}
+        inputs = (network, ground)
     else:
         if ground is None or detected is None:
             raise ValueError(f"{family} study needs ground= and detected=")
-        inputs = {"ground": ground, "detected": detected}
+        inputs = (ground, detected)
 
     baseline_values = None
     rows = []
@@ -311,14 +295,13 @@ def run_scaling_study(family, backend, worker_counts, *, ground=None,
     for w in counts:
         totals, computes, messages = [], [], []
         for _ in range(repetitions):
-            (kind, values), timing = _run_family(
-                family, backend, w, inputs, method)
+            values, timing = _run_family(family, backend, w, inputs, method)
             if baseline_values is None:
-                baseline_values = (kind, values)
-            elif not _values_match(baseline_values[0], baseline_values[1], values):
+                baseline_values = values
+            elif not _values_match(baseline_values, values):
                 raise StudyError(
                     f"{family}/{backend} at {w} workers produced {values}, "
-                    f"baseline was {baseline_values[1]}")
+                    f"baseline was {baseline_values}")
             totals.append(timing.total_s)
             computes.append(timing.compute_s)
             messages.append(timing.message_s)

@@ -18,10 +18,11 @@ import time
 
 import numpy as np
 
-from .graph import (
-    OverlapError, ParseError, Partition, load_edge_list, parse_community_lines,
-)
-from .intrinsic_metrics import community_stats
+from .graph import Partition, load_edge_list, parse_community_lines
+from .info_metrics import InfoMetrics
+from .intrinsic_metrics import IntrinsicReport, community_stats
+from .matching_metrics import MatchingMetrics
+from .pair_metrics import PairMetrics
 from .engine import BackendConfig, EngineError
 from .engine.runners import (
     run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
@@ -32,10 +33,10 @@ from .bench import (
     perturb_partition, run_scaling_study,
 )
 
+# text-report labels of the keys that do not print as themselves
 _TEXT_LABELS = {
     "vi": "VI", "nmi": "NMI", "f_measure": "F-measure", "nvd": "NVD",
-    "ri": "RI", "ari": "ARI", "ji": "JI",
-    "a11": "a11", "a10": "a10", "a01": "a01", "a00": "a00",
+    "ri": "RI", "ari": "ARI", "ji": "JI", "q": "Q", "qds": "Qds",
 }
 
 
@@ -120,14 +121,27 @@ def _read_partition_lists(path):
         return parse_community_lines(fh)
 
 
-def _fmt(value):
-    return f"{value:.6f}"
-
-
 def _timing_line(name, timing):
     return (f"{name}: workers={timing.num_workers} total={timing.total_s:.6f}s "
             f"compute={timing.compute_s:.6f}s message={timing.message_s:.6f}s "
             f"bytes={timing.total_message_bytes}")
+
+
+def _metric_lines(values, csv):
+    """Report lines of ``(key, value)`` pairs; an exception value is the
+    error its family failed with.  Text floats print to six places."""
+    lines = ["metric,value"] if csv else []
+    for key, value in values:
+        failed = isinstance(value, Exception)
+        if csv:
+            lines.append(f"{key},{'ERROR' if failed else repr(value)}")
+            continue
+        if failed:
+            value = f"ERROR: {value}"
+        elif isinstance(value, float):
+            value = f"{value:.6f}"
+        lines.append(f"{_TEXT_LABELS.get(key, key):<10} {value}")
+    return lines
 
 
 def cmd_compare(args):
@@ -143,59 +157,22 @@ def cmd_compare(args):
           f"backend={config.backend} workers={config.num_workers}",
           file=sys.stderr)
 
-    values = []  # (key, value-or-None, error-or-None)
+    families = (("info", run_info_metrics, InfoMetrics),
+                ("matching", run_matching_metrics, MatchingMetrics),
+                ("pair", run_pair_metrics, PairMetrics))
+    values = []
     failed = False
-
-    def run_family(name, fn, keys):
-        nonlocal failed
+    for name, runner, result_type in families:
         try:
-            result, timing = fn()
-            print(_timing_line(name, timing), file=sys.stderr)
-            return result
+            result, timing = runner(ground, detected, config)
         except (ValueError, EngineError) as exc:
             failed = True
             print(f"{name}: failed: {exc}", file=sys.stderr)
-            for key in keys:
-                values.append((key, None, str(exc)))
-            return None
-
-    res = run_family("info", lambda: run_info_metrics(ground, detected, config),
-                     ("vi", "nmi"))
-    if res:
-        values.append(("vi", res.vi, None))
-        values.append(("nmi", res.nmi, None))
-
-    res = run_family("matching",
-                     lambda: run_matching_metrics(ground, detected, config),
-                     ("f_measure", "nvd"))
-    if res:
-        values.append(("f_measure", res.f_measure, None))
-        values.append(("nvd", res.nvd, None))
-
-    res = run_family("pair", lambda: run_pair_metrics(ground, detected, config),
-                     ("a11", "a10", "a01", "a00", "ri", "ari", "ji"))
-    if res:
-        for key, val in zip(("a11", "a10", "a01", "a00"), res.counts.as_tuple()):
-            values.append((key, val, None))
-        values.append(("ri", res.rand, None))
-        values.append(("ari", res.adjusted_rand, None))
-        values.append(("ji", res.jaccard, None))
-
-    lines = []
-    if args.csv:
-        lines.append("metric,value")
-        for key, val, err in values:
-            lines.append(f"{key},ERROR" if err else f"{key},{val!r}")
-    else:
-        for key, val, err in values:
-            label = _TEXT_LABELS[key]
-            if err:
-                lines.append(f"{label:<10} ERROR: {err}")
-            elif isinstance(val, int):
-                lines.append(f"{label:<10} {val}")
-            else:
-                lines.append(f"{label:<10} {_fmt(val)}")
-    _emit(lines, args)
+            values += [(key, exc) for key in result_type.KEYS]
+            continue
+        print(_timing_line(name, timing), file=sys.stderr)
+        values += zip(result_type.KEYS, result.values())
+    _emit(_metric_lines(values, args.csv), args)
     return 1 if failed else 0
 
 
@@ -214,27 +191,10 @@ def cmd_quality(args):
     report, timing = run_intrinsic_metrics(net, partition, config)
     print(_timing_line("intrinsic", timing), file=sys.stderr)
 
-    lines = []
-    if args.csv:
-        lines.append("metric,value")
-        lines.append(f"q,{report.q!r}")
-        lines.append(f"qds,{report.qds!r}")
-        lines.append(f"edges,{report.total_edges}")
-        lines.append(f"communities,{report.community_count}")
-        lines.append("")
-    else:
-        lines.append(f"Q          {_fmt(report.q)}")
-        lines.append(f"Qds        {_fmt(report.qds)}")
-        lines.append(f"edges      {report.total_edges}")
-        lines.append(f"communities {report.community_count}")
-        lines.append("")
-    lines.append(",".join(_ROW_FIELDS))
-    for r in report.rows:
-        lines.append(",".join([
-            str(r.community_id), str(r.size), str(r.intra_edges),
-            repr(r.intra_density), repr(r.contraction), str(r.inter_edges),
-            repr(r.expansion), repr(r.conductance),
-        ]))
+    lines = _metric_lines(zip(IntrinsicReport.KEYS, report.values()), args.csv)
+    lines += ["", ",".join(_ROW_FIELDS)]
+    lines += [",".join(repr(getattr(r, f)) for f in _ROW_FIELDS)
+              for r in report.rows]
     _emit(lines, args)
     return 0
 
@@ -306,11 +266,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OverlapError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # ValueError covers ParseError and OverlapError; a bare OSError (a failed
+    # fork, say) is not bad input
+    except (ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, StudyError) as exc:

@@ -287,10 +287,8 @@ def run_workers(worker_fn, args, num_workers, *, ring=False):
         payload = worker_fn(ctx, *args)
         return [(payload, ctx.finish(time.perf_counter() - t0))]
 
-    try:
-        mp_ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        mp_ctx = mp.get_context("spawn")
+    # POSIX only: without fork this raises ValueError
+    mp_ctx = mp.get_context("fork")
 
     # queue index q feeds worker q+1; worker p sends on queue p
     edges = [mp_ctx.Queue(maxsize=1) for _ in range(num_workers)] \

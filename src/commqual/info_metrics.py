@@ -20,6 +20,12 @@ class InfoMetrics:
     vi: float
     nmi: float
 
+    KEYS = ("vi", "nmi")
+
+    def values(self):
+        """The reported values, in :attr:`KEYS` order."""
+        return (self.vi, self.nmi)
+
 
 @dataclass
 class ContingencyTable:

@@ -115,9 +115,15 @@ class IntrinsicReport:
     total_edges: int
     rows: list
 
+    KEYS = ("q", "qds", "edges", "communities")
+
     @property
     def community_count(self):
         return len(self.rows)
+
+    def values(self):
+        """The aggregate values, in :attr:`KEYS` order."""
+        return (self.q, self.qds, self.total_edges, self.community_count)
 
     def means(self):
         """Unweighted means of the six measures across communities."""

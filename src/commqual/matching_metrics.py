@@ -24,6 +24,12 @@ class MatchingMetrics:
     f_measure: float
     nvd: float
 
+    KEYS = ("f_measure", "nvd")
+
+    def values(self):
+        """The reported values, in :attr:`KEYS` order."""
+        return (self.f_measure, self.nvd)
+
 
 class MatchMaxima:
     __slots__ = ("max_normed", "max_t", "max_d")

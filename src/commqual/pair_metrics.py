@@ -186,6 +186,14 @@ class PairMetrics:
     adjusted_rand: float
     jaccard: float
 
+    KEYS = ("a11", "a10", "a01", "a00", "ri", "ari", "ji")
+
+    def values(self):
+        """The reported values, in :attr:`KEYS` order: the exact counts,
+        then the Rand, adjusted Rand and Jaccard indices."""
+        return self.counts.as_tuple() + (self.rand, self.adjusted_rand,
+                                         self.jaccard)
+
     @classmethod
     def from_counts(cls, counts):
         return cls(counts=counts, rand=rand_index(counts),

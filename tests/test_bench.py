@@ -203,13 +203,31 @@ def test_study_aborts_on_divergence(study_inputs, monkeypatch):
         values, timing = real(family, backend, workers, inputs, method)
         calls["n"] += 1
         if calls["n"] > 1:
-            kind, vals = values
-            values = (kind, tuple(v + 1e-3 for v in vals))
+            values = tuple(v + 1e-3 for v in values)
         return values, timing
 
     monkeypatch.setattr(bench, "_run_family", drifting)
     with pytest.raises(StudyError, match="baseline"):
         run_scaling_study("info", "shm", [1, 2], ground=ground,
+                          detected=detected, repetitions=1)
+
+
+def test_study_compares_counts_exactly(study_inputs, monkeypatch):
+    # 10**12 and 10**12 + 1 are equal under the float tolerance; as pair
+    # counts they must still abort the study
+    net, ground, detected = study_inputs
+    calls = {"n": 0}
+    real = bench._run_family
+
+    def off_by_one(family, backend, workers, inputs, method):
+        values, timing = real(family, backend, workers, inputs, method)
+        values = (10**12 + calls["n"],) + values[1:]
+        calls["n"] += 1
+        return values, timing
+
+    monkeypatch.setattr(bench, "_run_family", off_by_one)
+    with pytest.raises(StudyError, match="baseline"):
+        run_scaling_study("pair", "shm", [1, 2], ground=ground,
                           detected=detected, repetitions=1)
 
 

@@ -38,21 +38,59 @@ def parse_csv(out):
     return rows
 
 
+T1_TEXT_REPORT = """\
+VI         0.693147
+NMI        0.478704
+F-measure  0.828571
+NVD        0.166667
+a11        4
+a10        2
+a01        3
+a00        6
+RI         0.666667
+ARI        0.324324
+JI         0.444444
+"""
+
+_COVERAGE_ERROR = "ERROR: pair counting requires full universe coverage"
+T1_UNIVERSE_7_TEXT_REPORT = """\
+VI         0.594126
+NMI        0.576824
+F-measure  0.710204
+NVD        0.285714
+""" + "".join(f"{label:<10} {_COVERAGE_ERROR}\n"
+              for label in ("a11", "a10", "a01", "a00", "RI", "ARI", "JI"))
+
+T2_QUALITY_TEXT_REPORT = """\
+Q          0.357143
+Qds        0.341270
+edges      7
+communities 2
+
+community_id,size,intra_edges,intra_density,contraction,inter_edges,expansion,conductance
+0,3,3,1.0,2.0,1,0.3333333333333333,0.14285714285714285
+1,3,3,1.0,2.0,1,0.3333333333333333,0.14285714285714285
+"""
+
+
 def test_compare_text(capsys, t1_files):
     gt, det = t1_files
     code, out, err = run_cli(capsys, "compare", "--ground-truth", str(gt),
                              "--detected", str(det), "--universe", "6")
     assert code == 0
-    assert "VI         0.693147" in out
-    assert "NMI        0.478704" in out
-    assert "F-measure  0.828571" in out
-    assert "NVD        0.166667" in out
-    assert "RI         0.666667" in out
-    assert "ARI        0.324324" in out
-    assert "JI         0.444444" in out
-    assert "a11        4" in out
+    assert out == T1_TEXT_REPORT
     assert "universe=6" in err
     assert "info:" in err and "pair:" in err
+
+
+def test_compare_text_reports_each_pair_key_failed(capsys, t1_files):
+    # universe 7 leaves node 0 uncovered: pair fails, the others still print
+    gt, det = t1_files
+    code, out, err = run_cli(capsys, "compare", "--ground-truth", str(gt),
+                             "--detected", str(det))
+    assert code == 1
+    assert out == T1_UNIVERSE_7_TEXT_REPORT
+    assert "pair: failed:" in err
 
 
 def test_compare_csv_values(capsys, t1_files):
@@ -165,6 +203,19 @@ def test_compare_missing_file(capsys, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--ground-truth", "--out"])
+def test_compare_path_below_a_file(capsys, t1_files, flag):
+    # a regular file used as a directory is bad input, read or written
+    gt, det = t1_files
+    paths = {"--ground-truth": gt, "--detected": det, flag: gt / "x"}
+    argv = [str(a) for item in paths.items() for a in item]
+    code, out, err = run_cli(capsys, "compare", *argv, "--universe", "6")
+    assert code == 2
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and "Not a directory" in last
+
+
 def test_compare_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.cmty"
     bad.write_text("1 2 x\n")
@@ -207,12 +258,7 @@ def test_quality_text(capsys, t2_files):
     code, out, err = run_cli(capsys, "quality", "--network", str(edges),
                              "--detected", str(cmty))
     assert code == 0
-    assert "Q          0.357143" in out
-    assert "Qds        0.341270" in out
-    header = "community_id,size,intra_edges,intra_density,contraction,inter_edges,expansion,conductance"
-    assert header in out
-    row0 = out.strip().split("\n")[-2]
-    assert row0.startswith("0,3,3,1.0,2.0,1,")
+    assert out == T2_QUALITY_TEXT_REPORT
     assert "intrinsic:" in err
 
 
