@@ -12,7 +12,10 @@ stdout stays machine-friendly.  Exit codes: 0 success, 1 computation failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
+import stat
 import sys
 import time
 
@@ -26,7 +29,7 @@ from .pair_metrics import PairMetrics
 from .engine import BackendConfig, EngineError
 from .engine.runners import (
     run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
-    run_pair_metrics,
+    run_pair_metrics, shared_labels,
 )
 from .bench import (
     FAMILIES, GeneratorParams, ScalingResult, StudyError, generate_network,
@@ -107,6 +110,22 @@ def build_parser():
     return parser
 
 
+def _check_out(path):
+    """Raise the error that writing ``path`` would, as far as that is known
+    without creating it: a missing or non-directory parent, or a directory
+    at the path.  Called before any input is read, so a bad ``--out`` costs
+    no computation."""
+    if path is None:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        os.stat(os.path.dirname(path) or ".")  # the directory must exist
+        return
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -145,12 +164,14 @@ def _metric_lines(values, csv):
 
 
 def cmd_compare(args):
+    _check_out(args.out)
     ground_lists = _read_partition_lists(args.ground_truth)
     detected_lists = _read_partition_lists(args.detected)
     max_id = max(max(c) for c in ground_lists + detected_lists)
     universe = args.universe if args.universe is not None else max_id + 1
-    ground = Partition(ground_lists, universe)
-    detected = Partition(detected_lists, universe)
+    # one label space for the three families, ranked once
+    ground, detected = shared_labels(Partition(ground_lists, universe),
+                                     Partition(detected_lists, universe))
     config = BackendConfig(backend=args.backend, num_workers=args.workers)
 
     print(f"universe={universe} ground={len(ground)} detected={len(detected)} "
@@ -181,6 +202,7 @@ _ROW_FIELDS = ("community_id", "size", "intra_edges", "intra_density",
 
 
 def cmd_quality(args):
+    _check_out(args.out)
     with open(args.network, "rb") as fh:
         net = load_edge_list(fh)
     lists = _read_partition_lists(args.detected)

@@ -16,7 +16,7 @@ detected label array comes from: ``seq`` and ``shm`` workers read the
 parent's (``shm`` copy-on-write), ``ring`` workers scatter their own
 detected shard and each shard received in one circulation of the ring.  The
 three comparison runners first move both partitions into one dense label
-space 0..u-1 (:func:`_shared_labels`), so label-indexed arrays and ring
+space 0..u-1 (:func:`shared_labels`), so label-indexed arrays and ring
 messages scale with the u nodes covered, whatever the int64 ids.
 The intrinsic family runs
 :func:`~commqual.intrinsic_metrics.intrinsic_partial` on its shard of
@@ -54,11 +54,13 @@ from ..intrinsic_metrics import intrinsic_finish, intrinsic_partial
 from .transport import RING, BackendConfig, PhaseTiming, run_workers
 
 
-def _shared_labels(ground, detected):
+def shared_labels(ground, detected):
     """The pair over one dense label space 0..u-1, u the number of labels
     either partition uses.  When no label reaches the larger covered count,
     that partition holds every label below it and the pair is already dense;
-    otherwise both are ranked jointly, which keeps every set relation."""
+    otherwise both are ranked jointly, which keeps every set relation.  A
+    caller running several families on one pair ranks it once here, and
+    each runner then finds it dense."""
     if ground.universe_size != detected.universe_size:
         raise ValueError("partitions declare different universe sizes")
     if (max(ground.label_space, detected.label_space)
@@ -109,7 +111,7 @@ def _run_rows(partial, merge, ground, detected, config):
 
 def run_info_metrics(ground, detected, config=None):
     """VI and NMI of detected against ground truth."""
-    ground, detected = _shared_labels(ground, detected)
+    ground, detected = shared_labels(ground, detected)
     rows, timing = _run_rows(info_partial, operator.add, ground, detected,
                              config or BackendConfig())
     return info_finish(rows, ground.sizes, detected.sizes,
@@ -118,7 +120,7 @@ def run_info_metrics(ground, detected, config=None):
 
 def run_matching_metrics(ground, detected, config=None):
     """F-measure and normalized Van Dongen distance."""
-    ground, detected = _shared_labels(ground, detected)
+    ground, detected = shared_labels(ground, detected)
     maxima, timing = _run_rows(MatchMaxima.from_contingency, MatchMaxima.merge,
                                ground, detected, config or BackendConfig())
     return matching_finish(maxima, ground.sizes, ground.universe_size), timing
@@ -137,7 +139,7 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     all-pairs scan (the ring backend rejects it).
     """
     config = config or BackendConfig()
-    ground, detected = _shared_labels(ground, detected)
+    ground, detected = shared_labels(ground, detected)
     if method not in ("fast", "bruteforce"):
         raise ValueError(f"unknown pair-counting method {method!r}")
     # over one dense space 0..u-1 the node sets agree exactly when both

@@ -5,19 +5,25 @@ Backends
 ``seq``   one worker, run inline in the calling process; no fork.
 ``shm``   fork()ed worker processes reading the parent's data structures
           copy-on-write; no inter-worker communication.
-``ring``  fork()ed workers connected in a directed ring of bounded queues;
-          shard payloads circulate as serialized byte messages.
+``ring``  fork()ed workers connected in a directed ring of pipes; shard
+          payloads circulate as length-prefixed serialized byte messages.
 
-Workers time themselves (compute vs message wait) from inside the child, so
-reported numbers exclude process start-up and input construction.  The
-aggregate view of a run is the maximum over workers, the usual convention for
-parallel phase timing.
+A parallel run is ``os.fork`` and ``os.pipe`` alone: every pipe is made
+before the first fork, each child keeps only its own ends, pickles its
+``(error, payload, WorkerStats)`` into its result pipe and leaves through
+``os._exit``, and the parent drains the result pipes in one ``select.poll``
+loop.  Workers time themselves (compute vs message wait) from inside the
+child, so reported numbers exclude process start-up and input construction.
+The aggregate view of a run is the maximum over workers, the usual
+convention for parallel phase timing.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
+import os
+import pickle
+import select
+import signal
 import struct
 import time
 import traceback
@@ -32,6 +38,7 @@ RING = "ring"
 BACKENDS = (SEQ, SHM, RING)
 
 _RESULT_TIMEOUT_S = 600.0
+_PIPE_BYTES = 1 << 16  # a pipe's default capacity: the most one read returns
 
 
 class EngineError(RuntimeError):
@@ -114,10 +121,12 @@ class PhaseTiming:
 #
 # A partition shard travels as three records: 0 holds the community ids, 1
 # their sizes and 2 the concatenated member labels, so community ids[i] owns
-# the next sizes[i] labels.
+# the next sizes[i] labels.  On a ring pipe each message is framed by a
+# leading u8 holding its byte length.
 
 _HEADER = struct.Struct("<III")
 _RECORD = struct.Struct("<II")
+_FRAME = struct.Struct("<Q")
 _U4_MAX = 2**32 - 1
 
 
@@ -163,22 +172,30 @@ class RingMessage:
         return cls(sender_id=sender, hop_count=hops, records=records)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Worker contexts
 # ---------------------------------------------------------------------------
 
 
+def _remaining_ms(deadline):
+    """Milliseconds left before ``deadline``, for ``poll``."""
+    return max(0, int((deadline - time.monotonic()) * 1000))
+
+
 class WorkerContext:
     """Worker-side handle: identity, compute and message time, traffic
-    counters."""
+    counters, and on the ring the pipe ends to the neighbours."""
 
-    def __init__(self, worker_id, num_workers, send_q=None, recv_q=None):
+    def __init__(self, worker_id, num_workers, send_fd=None, recv_fd=None):
         self.worker_id = worker_id
         self.num_workers = num_workers
         self.compute_s = 0.0
         self.message_s = 0.0
-        self._send_q = send_q
-        self._recv_q = recv_q
+        self._send_fd = send_fd
+        self._recv_fd = recv_fd
+        self._inbox = bytearray()  # received bytes not yet taken as a frame
         self.bytes_sent = 0
         self.messages_sent = 0
         self.bytes_received = 0
@@ -198,23 +215,60 @@ class WorkerContext:
 
     @property
     def ring_enabled(self):
-        return self._send_q is not None
+        return self._send_fd is not None
 
-    # message time covers encoding and decoding as well as the queue wait
-    def _send(self, message):
+    def _take_frame(self):
+        """The payload of the first whole frame in the inbox, or None."""
+        if len(self._inbox) < _FRAME.size:
+            return None
+        end = _FRAME.size + _FRAME.unpack_from(self._inbox)[0]
+        if len(self._inbox) < end:
+            return None
+        payload = bytes(self._inbox[_FRAME.size:end])
+        del self._inbox[:end]
+        return payload
+
+    def _exchange(self, message):
+        """Send ``message`` downstream and receive the next one from
+        upstream.  Writing and reading share one poll loop, so a frame
+        larger than the pipe buffer cannot deadlock a ring in which every
+        worker writes first.  Message time covers encoding and decoding as
+        well as the wait."""
         with self._timed("message_s"):
             payload = message.to_bytes()
-            self._send_q.put(payload)
+            out = memoryview(_FRAME.pack(len(payload)) + payload)
+            incoming = self._take_frame()
+            poller = select.poll()
+            poller.register(self._send_fd, select.POLLOUT)
+            if incoming is None:
+                poller.register(self._recv_fd, select.POLLIN)
+            deadline = time.monotonic() + _RESULT_TIMEOUT_S
+            while out or incoming is None:
+                events = poller.poll(_remaining_ms(deadline))
+                if not events:
+                    raise EngineError(
+                        f"worker {self.worker_id} timed out on the ring")
+                for fd, _event in events:
+                    if fd == self._send_fd:
+                        out = out[os.write(fd, out):]
+                        if not out:
+                            poller.unregister(fd)
+                        continue
+                    data = os.read(fd, _PIPE_BYTES)
+                    if not data:
+                        raise EngineError(
+                            f"worker {self.worker_id}: ring neighbour "
+                            f"closed its pipe")
+                    self._inbox += data
+                    incoming = self._take_frame()
+                    if incoming is not None:
+                        poller.unregister(fd)
+            received = RingMessage.from_bytes(incoming)
         self.bytes_sent += len(payload)
         self.messages_sent += 1
-
-    def _recv(self):
-        with self._timed("message_s"):
-            payload = self._recv_q.get(timeout=_RESULT_TIMEOUT_S)
-            message = RingMessage.from_bytes(payload)
-        self.bytes_received += len(payload)
+        self.bytes_received += len(incoming)
         self.messages_received += 1
-        return message
+        return received
 
     def circulate(self, records):
         """Run one full circulation of the ring, starting from own ``records``.
@@ -234,8 +288,8 @@ class WorkerContext:
         w = self.num_workers
         current = RingMessage(self.worker_id, 0, records)
         for rnd in range(1, w):
-            self._send(RingMessage(current.sender_id, rnd, current.records))
-            msg = self._recv()
+            msg = self._exchange(RingMessage(current.sender_id, rnd,
+                                             current.records))
             expected_origin = (self.worker_id - rnd) % w
             if msg.hop_count != rnd or msg.sender_id != expected_origin:
                 raise EngineError(
@@ -260,16 +314,81 @@ class WorkerContext:
         )
 
 
-def _worker_entry(worker_fn, worker_id, num_workers, args, send_q, recv_q,
-                  result_q):
-    t0 = time.perf_counter()
-    ctx = WorkerContext(worker_id, num_workers, send_q, recv_q)
+def _worker_main(worker_fn, worker_id, num_workers, args, ring_pipes,
+                 result_pipes):
+    """Body of forked worker ``worker_id``; never returns.  It keeps only
+    its own pipe ends, and leaves through ``os._exit`` so it never unwinds
+    into the caller's stack or flushes the parent's stdio."""
+    code = 1
     try:
-        payload = worker_fn(ctx, *args)
-        stats = ctx.finish(time.perf_counter() - t0)
-        result_q.put((worker_id, None, payload, stats))
-    except BaseException:
-        result_q.put((worker_id, traceback.format_exc(), None, None))
+        t0 = time.perf_counter()
+        own = {result_pipes[worker_id][1]}
+        send_fd = recv_fd = None
+        if ring_pipes:
+            # pipe p carries worker p's messages to worker p+1
+            send_fd = ring_pipes[worker_id][1]
+            recv_fd = ring_pipes[(worker_id - 1) % num_workers][0]
+            own |= {send_fd, recv_fd}
+            os.set_blocking(send_fd, False)
+        for pipe in ring_pipes + result_pipes:
+            for fd in pipe:
+                if fd not in own:
+                    os.close(fd)
+        ctx = WorkerContext(worker_id, num_workers, send_fd, recv_fd)
+        try:
+            payload = worker_fn(ctx, *args)
+            report = pickle.dumps(
+                (None, payload, ctx.finish(time.perf_counter() - t0)),
+                protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            report = pickle.dumps((traceback.format_exc(), None, None))
+        out = memoryview(report)
+        while out:
+            out = out[os.write(result_pipes[worker_id][1], out):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pids, fds):
+    """Per-worker (payload, stats), read from the result pipes ``fds``
+    (``fds[p]`` is worker p's) in one poll loop.  Each worker is reaped,
+    and dropped from ``pids``, once its pipe reaches EOF."""
+    worker_of = {fd: p for p, fd in enumerate(fds)}
+    chunks = {p: [] for p in worker_of.values()}
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    results = {}
+    deadline = time.monotonic() + _RESULT_TIMEOUT_S
+    while len(results) < len(fds):
+        events = poller.poll(_remaining_ms(deadline))
+        if not events:
+            raise EngineError("timed out waiting for worker results")
+        dead, errors = {}, []
+        for fd, _event in events:
+            p = worker_of[fd]
+            data = os.read(fd, _PIPE_BYTES)
+            if data:
+                chunks[p].append(data)
+                continue
+            poller.unregister(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(p), 0)[1])
+            if code != 0 or not chunks[p]:
+                dead[p] = code
+                continue
+            err, payload, stats = pickle.loads(b"".join(chunks[p]))
+            if err is None:
+                results[p] = (payload, stats)
+            else:
+                errors.append(f"worker {p} failed:\n{err}")
+        # a death breaks the ring under its neighbours, so it is the cause
+        # reported when both land together
+        if dead:
+            raise EngineError(f"worker(s) exited without reporting: {dead}")
+        if errors:
+            raise EngineError(errors[0])
+    return [results[p] for p in range(len(fds))]
 
 
 def run_workers(worker_fn, args, num_workers, *, ring=False):
@@ -278,68 +397,41 @@ def run_workers(worker_fn, args, num_workers, *, ring=False):
 
     With one worker the function runs inline (no processes, and for a ring an
     empty circulation).  Otherwise workers are forked; under the ring flag
-    worker p sends to p+1 and receives from p-1 through queues that hold one
-    message each.
+    worker p sends to p+1 and receives from p-1 over a pipe.  A worker that
+    fails, dies or outlives the deadline raises :class:`EngineError`, and
+    every worker still running is killed and reaped.
     """
     if num_workers == 1:
         t0 = time.perf_counter()
         ctx = WorkerContext(0, 1)
         payload = worker_fn(ctx, *args)
         return [(payload, ctx.finish(time.perf_counter() - t0))]
+    if not hasattr(os, "fork"):
+        raise ValueError("parallel backends need os.fork, which this "
+                         "platform lacks")
 
-    # POSIX only: without fork this raises ValueError
-    mp_ctx = mp.get_context("fork")
-
-    # queue index q feeds worker q+1; worker p sends on queue p
-    edges = [mp_ctx.Queue(maxsize=1) for _ in range(num_workers)] \
-        if ring else [None] * num_workers
-    result_q = mp_ctx.Queue()
-
-    procs = []
-    for p in range(num_workers):
-        send_q = edges[p] if ring else None
-        recv_q = edges[(p - 1) % num_workers] if ring else None
-        proc = mp_ctx.Process(
-            target=_worker_entry,
-            args=(worker_fn, p, num_workers, args, send_q, recv_q, result_q),
-            daemon=True,
-        )
-        procs.append(proc)
-    for proc in procs:
-        proc.start()
-
-    results = {}
-    failure = None
-    deadline = time.monotonic() + _RESULT_TIMEOUT_S
-    dead_strikes = 0
+    held = []  # pipe ends open in the parent
+    pids = {}
     try:
-        while len(results) < num_workers and failure is None:
-            try:
-                worker_id, err, payload, stats = result_q.get(timeout=0.5)
-            except queue_mod.Empty:
-                if time.monotonic() > deadline:
-                    failure = "timed out waiting for worker results"
-                    continue
-                dead = [p for p, proc in enumerate(procs)
-                        if not proc.is_alive() and p not in results]
-                # allow one extra poll so an in-flight result can land
-                dead_strikes = dead_strikes + 1 if dead else 0
-                if dead and dead_strikes > 1:
-                    codes = {p: procs[p].exitcode for p in dead}
-                    failure = f"worker(s) exited without reporting: {codes}"
-                continue
-            if err is not None:
-                failure = f"worker {worker_id} failed:\n{err}"
-            else:
-                results[worker_id] = (payload, stats)
+        for _ in range(num_workers * (2 if ring else 1)):
+            held.extend(os.pipe())
+        pipes = list(zip(held[0::2], held[1::2]))
+        result_pipes, ring_pipes = pipes[:num_workers], pipes[num_workers:]
+        for p in range(num_workers):
+            pid = os.fork()
+            if pid == 0:
+                _worker_main(worker_fn, p, num_workers, args, ring_pipes,
+                             result_pipes)
+            pids[p] = pid
+        reads = [r for r, _w in result_pipes]
+        for fd in set(held) - set(reads):
+            os.close(fd)
+        held = reads
+        return _collect(pids, reads)
     finally:
-        if failure is not None:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-        for proc in procs:
-            proc.join(timeout=10)
-
-    if failure is not None:
-        raise EngineError(failure)
-    return [results[p] for p in range(num_workers)]
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
+        for fd in held:
+            os.close(fd)

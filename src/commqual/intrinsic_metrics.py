@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import concat_ranges, shard
+from .graph import concat_ranges
 
 
 @dataclass
@@ -313,12 +313,14 @@ def community_measures(stats):
 
 def intrinsic_partial(network, partition, num_workers=1, worker_id=0):
     """Worker ``worker_id``'s share of the intrinsic metrics: the ids of its
-    communities under :func:`~commqual.graph.shard`, with their Q and Qds
+    communities ``worker_id::num_workers`` (the modulo sharding of
+    :func:`~commqual.graph.shard`), with their Q and Qds
     terms and their internal, boundary and unassigned edge counts.  The
     terms are those of the whole-partition table, bit for bit, because each
     is computed element by element and Qds reads neighbour sizes from
     ``partition.sizes``."""
-    ids = shard(partition, num_workers, worker_id).comm_ids
+    # community_stats gathers the members, so only the ids are taken here
+    ids = np.arange(worker_id, len(partition), num_workers, dtype=np.int64)
     table = community_stats(network, partition, ids)
     m = network.edge_count
     return {"ids": table.ids, "q": modularity_terms(table, m),

@@ -216,6 +216,52 @@ def test_compare_path_below_a_file(capsys, t1_files, flag):
     assert last.startswith("error: ") and "Not a directory" in last
 
 
+@pytest.mark.parametrize("command", ["compare", "quality"])
+@pytest.mark.parametrize("where", ["below a file", "a directory"])
+def test_bad_out_fails_before_any_input_is_read(capsys, t1_files, t2_files,
+                                               tmp_path, command, where):
+    gt, det = t1_files
+    edges, cmty = t2_files
+    out = gt / "x" if where == "below a file" else tmp_path
+    argv = {"compare": ["--ground-truth", gt, "--detected", det],
+            "quality": ["--network", edges, "--detected", cmty]}[command]
+    code, stdout, err = run_cli(capsys, command, *map(str, argv),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    # the error is the only stderr line: no input summary, no timing line
+    line, = err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert ("Not a directory" if where == "below a file"
+            else "Is a directory") in line
+
+
+@pytest.mark.parametrize("backend,workers", [("seq", 1), ("shm", 2), ("ring", 2)])
+def test_compare_ranks_sparse_ids_once(capsys, tmp_path, monkeypatch, backend,
+                                       workers):
+    from commqual.engine import runners
+    calls = []
+    rank = runners.rank_labels
+
+    def counting(*partitions):
+        calls.append(len(partitions))
+        return rank(*partitions)
+
+    monkeypatch.setattr(runners, "rank_labels", counting)
+    paths = []
+    for name, comms in (("ground", T1_GROUND), ("detected", T1_DETECTED)):
+        path = tmp_path / f"{name}.cmty"
+        path.write_text("".join(" ".join(str(v * 10**10) for v in sorted(c)) + "\n"
+                                for c in comms))
+        paths.append(str(path))
+    code, out, _ = run_cli(capsys, "compare", "--ground-truth", paths[0],
+                           "--detected", paths[1], "--universe", "6",
+                           "--backend", backend, "--workers", str(workers))
+    assert code == 0
+    assert out == T1_TEXT_REPORT
+    assert calls == [2]
+
+
 def test_compare_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.cmty"
     bad.write_text("1 2 x\n")

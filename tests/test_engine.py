@@ -7,7 +7,7 @@ import pytest
 from commqual.engine import (
     BackendConfig, EngineError, PhaseTiming, RingMessage, WorkerStats,
     run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
-    run_pair_metrics, run_workers,
+    run_pair_metrics, run_workers, transport,
 )
 from commqual.graph import Partition, shard
 from conftest import (
@@ -114,6 +114,84 @@ def test_ring_worker_hard_death_raises_promptly(workers):
     with pytest.raises(EngineError, match=r"exited without reporting: \{.*1: 3"):
         run_workers(_dying_ring_worker, (), workers, ring=True)
     assert time.monotonic() - t0 < 10
+
+
+def _big_record_worker(ctx, n):
+    # each worker's record is n u32 values tagged by its id; a received one
+    # is summarised, so the result pipe stays small
+    own = np.arange(n, dtype=np.int64) + ctx.worker_id
+    seen = []
+    for origin, records in ctx.circulate([(ctx.worker_id, own)]):
+        (rec_id, values), = records
+        expected = np.arange(n, dtype=np.int64) + origin
+        seen.append((origin, rec_id, bool(np.array_equal(values, expected))))
+    return seen
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_ring_frame_larger_than_the_pipe_buffer(monkeypatch, workers):
+    # a 4 MB frame is many times a 64 KiB pipe buffer and every worker
+    # writes first; a short deadline turns a deadlock into a prompt failure
+    monkeypatch.setattr(transport, "_RESULT_TIMEOUT_S", 60.0)
+    n = 1_000_000
+    out = run_workers(_big_record_worker, (n,), workers, ring=True)
+    for p, (seen, stats) in enumerate(out):
+        assert seen == [((p - r) % workers, (p - r) % workers, True)
+                        for r in range(1, workers)]
+        assert stats.bytes_sent == stats.bytes_received
+        assert stats.bytes_sent == (workers - 1) * (12 + 8 + 4 * n)
+
+
+def _scenario_worker(ctx, scenario):
+    if ctx.worker_id == 1:
+        if scenario == "raise":
+            raise RuntimeError("kaboom")
+        if scenario == "die":
+            os._exit(3)
+        if scenario == "hang":
+            time.sleep(60)
+    return ctx.worker_id
+
+
+_SCENARIOS = {"ok": None, "raise": "kaboom", "die": "exited without reporting",
+              "hang": "timed out"}
+
+
+def _run_scenario(monkeypatch, scenario, ring):
+    monkeypatch.setattr(transport, "_RESULT_TIMEOUT_S", 1.0)
+    if _SCENARIOS[scenario] is None:
+        assert [payload for payload, _ in run_workers(
+            _scenario_worker, (scenario,), 3, ring=ring)] == [0, 1, 2]
+    else:
+        with pytest.raises(EngineError, match=_SCENARIOS[scenario]):
+            run_workers(_scenario_worker, (scenario,), 3, ring=ring)
+
+
+@pytest.mark.parametrize("ring", [False, True])
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_run_leaves_no_child(monkeypatch, scenario, ring):
+    _run_scenario(monkeypatch, scenario, ring)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count open descriptors")
+@pytest.mark.parametrize("ring", [False, True])
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_run_leaves_no_open_fd(monkeypatch, scenario, ring):
+    before = len(os.listdir("/proc/self/fd"))
+    _run_scenario(monkeypatch, scenario, ring)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_parallel_run_without_fork_is_a_value_error(monkeypatch, ring):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="fork"):
+        run_workers(_scenario_worker, ("ok",), 2, ring=ring)
+    # one worker runs inline and needs no fork
+    assert run_workers(_scenario_worker, ("ok",), 1, ring=ring)[0][0] == 0
 
 
 def test_ring_circulation_orders_and_counts():
