@@ -1,68 +1,57 @@
-"""Community-quality metrics for network partitions, with parallel backends."""
+"""Community-quality metrics for network partitions, with parallel backends.
 
-from .graph import (
-    Network,
-    NodeCommunityMap,
-    OverlapError,
-    ParseError,
-    Partition,
-    PartitionShard,
-    build_contingency,
-    load_communities,
-    load_edge_list,
-    parse_community_lines,
-    shard,
-)
-from .info_metrics import (
-    ContingencyTable,
-    nats_to_bits,
-    normalized_mutual_information,
-    variation_of_information,
-)
-from .matching_metrics import MatchMaxima, f_measure, nvd
-from .pair_metrics import (
-    DegenerateIndexError,
-    PairCounts,
-    adjusted_rand_index,
-    jaccard_index,
-    pair_counts_bruteforce,
-    pair_counts_fast,
-    pair_counts_striped,
-    rand_index,
-)
-from .intrinsic_metrics import (
-    CommunityRow,
-    CommunityStats,
-    IntrinsicReport,
-    community_measures,
-    community_stats,
-    intrinsic_report,
-    modularity,
-    modularity_density,
-)
-from .engine import (
-    BackendConfig,
-    EngineError,
-    InfoMetrics,
-    MatchingMetrics,
-    PairMetrics,
-    PhaseTiming,
-    RingMessage,
-    WorkerStats,
-    run_info_metrics,
-    run_intrinsic_metrics,
-    run_matching_metrics,
-    run_pair_metrics,
-)
-from .bench import (
-    GeneratorParams,
-    ScalingResult,
-    StudyError,
-    StudyRow,
-    generate_network,
-    perturb_partition,
-    run_scaling_study,
-    speedup_efficiency,
-)
+The top-level names resolve lazily (PEP 562): ``commqual.X`` imports the
+module that defines ``X`` on first use, so ``import commqual.graph`` loads
+that module alone and not the engine, the metrics or the benchmark.
+"""
 
+from importlib import import_module
+
+# the names each submodule exports at the top level
+_EXPORTS = {
+    "graph": (
+        "Network", "NodeCommunityMap", "OverlapError", "ParseError",
+        "Partition", "PartitionShard", "build_contingency", "load_communities",
+        "load_edge_list", "parse_community_lines", "shard",
+    ),
+    "info_metrics": (
+        "ContingencyTable", "nats_to_bits", "normalized_mutual_information",
+        "variation_of_information",
+    ),
+    "matching_metrics": ("MatchMaxima", "f_measure", "nvd"),
+    "pair_metrics": (
+        "DegenerateIndexError", "PairCounts", "adjusted_rand_index",
+        "jaccard_index", "pair_counts_bruteforce", "pair_counts_fast",
+        "pair_counts_striped", "rand_index",
+    ),
+    "intrinsic_metrics": (
+        "CommunityRow", "CommunityStats", "IntrinsicReport",
+        "community_measures", "community_stats", "intrinsic_report",
+        "modularity", "modularity_density",
+    ),
+    "engine": (
+        "BackendConfig", "EngineError", "InfoMetrics", "MatchingMetrics",
+        "PairMetrics", "PhaseTiming", "RingMessage", "WorkerStats",
+        "run_info_metrics", "run_intrinsic_metrics", "run_matching_metrics",
+        "run_pair_metrics",
+    ),
+    "bench": (
+        "GeneratorParams", "ScalingResult", "StudyError", "StudyRow",
+        "generate_network", "perturb_partition", "run_scaling_study",
+        "speedup_efficiency",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -18,14 +18,7 @@ import numpy as np
 
 from .graph import Network, NodeCommunityMap, Partition
 from .engine import BackendConfig, RING, SHM
-from .engine.runners import (
-    run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
-    run_pair_metrics,
-)
-
-_RUNNERS = {"info": run_info_metrics, "matching": run_matching_metrics,
-            "pair": run_pair_metrics, "intrinsic": run_intrinsic_metrics}
-FAMILIES = tuple(_RUNNERS)
+from .engine.runners import FAMILIES, RUNNERS
 
 
 class StudyError(RuntimeError):
@@ -249,7 +242,7 @@ def _run_family(family, backend, workers, inputs, method):
     positional inputs), and the run's timing."""
     config = BackendConfig(backend=backend, num_workers=workers)
     options = {"method": method} if family == "pair" else {}
-    result, timing = _RUNNERS[family](*inputs, config, **options)
+    result, timing = RUNNERS[family](*inputs, config, **options)
     return result.values(), timing
 
 

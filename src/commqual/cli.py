@@ -28,12 +28,8 @@ from .matching_metrics import MatchingMetrics
 from .pair_metrics import PairMetrics
 from .engine import BackendConfig, EngineError
 from .engine.runners import (
-    run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
+    FAMILIES, run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
     run_pair_metrics, shared_labels,
-)
-from .bench import (
-    FAMILIES, GeneratorParams, ScalingResult, StudyError, generate_network,
-    perturb_partition, run_scaling_study,
 )
 
 # text-report labels of the keys that do not print as themselves
@@ -135,6 +131,11 @@ def _emit(lines, args):
         sys.stdout.write(text)
 
 
+def _error(exc, code):
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _read_partition_lists(path):
     with open(path, "rb") as fh:
         return parse_community_lines(fh)
@@ -222,6 +223,11 @@ def cmd_quality(args):
 
 
 def cmd_bench(args):
+    from .bench import (
+        GeneratorParams, ScalingResult, StudyError, generate_network,
+        perturb_partition, run_scaling_study,
+    )
+
     counts = [int(tok) for tok in args.workers.split(",") if tok.strip()]
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
@@ -240,10 +246,13 @@ def cmd_bench(args):
     for family in families:
         print(f"running {family}/{args.backend} at workers {counts}",
               file=sys.stderr)
-        result = run_scaling_study(
-            family, args.backend, counts,
-            ground=ground, detected=detected, network=network,
-            repetitions=args.reps, method=args.pair_method)
+        try:
+            result = run_scaling_study(
+                family, args.backend, counts,
+                ground=ground, detected=detected, network=network,
+                repetitions=args.reps, method=args.pair_method)
+        except StudyError as exc:
+            return _error(exc, 1)
         merged.extend(result)
     if args.out:
         merged.to_csv(args.out)
@@ -253,6 +262,8 @@ def cmd_bench(args):
 
 
 def cmd_generate(args):
+    from .bench import GeneratorParams, generate_network
+
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
         max_degree=args.max_degree, mixing=args.mixing,
@@ -292,11 +303,9 @@ def main(argv=None):
     # fork, say) is not bad input
     except (ValueError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (EngineError, StudyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 2)
+    except EngineError as exc:
+        return _error(exc, 1)
 
 
 if __name__ == "__main__":

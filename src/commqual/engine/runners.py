@@ -189,3 +189,9 @@ def run_intrinsic_metrics(network, partition, config=None):
                       config.num_workers)
     return (intrinsic_finish([payload for payload, _ in out], network, partition),
             PhaseTiming.from_workers([stats for _, stats in out]))
+
+
+# each family's runner, under the name the CLI and the scaling study use
+RUNNERS = {"info": run_info_metrics, "matching": run_matching_metrics,
+           "pair": run_pair_metrics, "intrinsic": run_intrinsic_metrics}
+FAMILIES = tuple(RUNNERS)

@@ -189,15 +189,16 @@ def load_edge_list(stream):
     the number of endpoints, by sorting otherwise.
 
     ``stream`` is a binary or text file object, or any iterable of lines.
-    A binary stream is read whole and, when well formed, parsed in one pass
-    by ``np.loadtxt``; anything else goes through the line-at-a-time parser,
-    which reports the first bad line.  Both give the same :class:`Network`
-    and the same :class:`ParseError`.
+    A binary stream is read whole and, when well formed, parsed in blocks of
+    about 1 MiB by ``np.fromstring`` (:func:`_scan_ids`); anything else, a
+    buffer that reader refuses included, goes through the line-at-a-time
+    parser, which reports the first bad line.  Both give the same
+    :class:`Network` and the same :class:`ParseError`.
     """
     edges = None
     if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
         data = stream.read()  # binary streams break lines at b"\n" only
-        edges = _loadtxt_edges(data)
+        edges, _ = _scan_ids(data, width=2) or (None, None)
         stream = io.BytesIO(data)
     if edges is None:
         edges = _parse_edge_lines(stream)
@@ -233,45 +234,109 @@ def _dense_labels(ids):
     return ranks.reshape(ids.shape), labels
 
 
-# what ``str.strip``/``str.split`` treat as blank in ASCII text
-_BLANK = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_BLOCK = 1 << 20  # bytes per ``np.fromstring`` call of the fast reader
+
+# ``bytes.translate`` table of the fast reader's byte classes; it takes no
+# other byte outside a comment
+_BLANK, _NEWLINE, _DIGIT, _HASH, _OTHER = range(5)
+_BYTE_CLASS = bytes(
+    _BLANK if c in b" \t\r" else _NEWLINE if c == ord("\n")
+    else _DIGIT if c in b"0123456789" else _HASH if c == ord("#") else _OTHER
+    for c in range(256))
 
 
-def _loadtxt_edges(data):
-    """The ``(k, 2)`` int64 edges of a byte buffer parsed by ``np.loadtxt``,
-    or None where it might disagree with :func:`_parse_edge_lines`: a
-    non-ASCII byte, a bare ``\\r`` (inside a line to the line parser, a break
-    to ``loadtxt``), a ``#`` after data, any error or warning (no data, a
-    float, an id beyond int64), a row without exactly two ids, or a negative
-    id."""
-    if (not data.isascii()
-            or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
-            or not _comments_lead_lines(data)):
+def _scan_ids(data, width=None):
+    """The ids of a byte buffer and the number on each line holding any,
+    parsed about 1 MiB at a time by ``np.fromstring``; or None where the
+    result might differ from the line parsers'.
+
+    Returns ``(ids, sizes)``: the int64 ids in file order and, for each line
+    holding any, their number.  With ``width`` every line must hold none or
+    ``width`` ids, and the result is ``(ids.reshape(-1, width), None)``.
+    Comment lines are blanked first.  Outside them only digits, spaces, tabs
+    and ``\\r\\n`` or ``\\n`` line ends are taken.  Anything else returns
+    None: a non-ASCII byte, a bare ``\\r``, a ``#`` after data, a sign or any
+    other byte, an error or warning from ``fromstring``, a value count that
+    differs from the number of digit runs, a value of ``INT64_MAX``
+    (``fromstring`` saturates on overflow), or no ids at all.
+    """
+    if not data.isascii() or (b"\r" in data
+                               and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    ids, sizes = [], []
+    start = 0
+    while start < len(data):
+        # cut after a newline, so every line lies in one block
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        scanned = _scan_block(data[start:end], width)
+        if scanned is None:
+            return None
+        ids.append(scanned[0])
+        sizes.append(scanned[1])
+        start = end
+    if sum(part.size for part in ids) == 0:
+        return None  # the line parser names the empty input
+    if width is not None:
+        return np.concatenate(ids).reshape(-1, width), None
+    return np.concatenate(ids), np.concatenate(sizes)
+
+
+def _scan_block(block, width):
+    """:func:`_scan_ids` of one block that ends at a line end."""
+    cls = _byte_classes(block)
+    if b"#" in block:
+        block = _blank_comment_lines(block, cls)
+        if block is None:
+            return None
+        cls = _byte_classes(block)
+    if cls.max() > _DIGIT:
+        return None
+    starts = _run_starts(cls == _DIGIT)
+    count = int(np.count_nonzero(starts))
+    # digit runs per line, each line from its first byte through its newline
+    firsts = np.concatenate(([0], np.flatnonzero(cls[:-1] == _NEWLINE) + 1))
+    per_line = np.add.reduceat(starts, firsts, dtype=np.int64)
+    if width is not None and ((per_line != 0) & (per_line != width)).any():
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            edges = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#",
-                               ndmin=2)
-    except (ValueError, OverflowError, Warning):  # the line parser names it
+            ids = np.fromstring(block, dtype=np.int64, sep=" ")
+    except (ValueError, Warning):
         return None
-    if edges.shape[0] == 0 or edges.shape[1] != 2 or edges.min() < 0:
+    # a blank block reads as [0], and a lone sign as 0
+    if ids.size != count or ids.min() < 0 or ids.max() == _INT64_MAX:
         return None
-    return edges
+    return ids, None if width is not None else per_line[per_line > 0]
 
 
-def _comments_lead_lines(data):
-    """True when every ``#`` has only blanks before it on its line."""
-    pos = data.find(b"#")
-    while pos >= 0:
-        start = data.rfind(b"\n", 0, pos) + 1
-        if data[start:pos].strip(_BLANK):
-            return False
-        end = data.find(b"\n", pos)
-        if end < 0:
-            return True
-        pos = data.find(b"#", end)
-    return True
+def _byte_classes(block):
+    return np.frombuffer(block.translate(_BYTE_CLASS), dtype=np.uint8)
+
+
+def _run_starts(mask):
+    """True where a run of True values of ``mask`` begins."""
+    first = np.empty_like(mask)
+    first[:1] = mask[:1]
+    np.greater(mask[1:], mask[:-1], out=first[1:])
+    return first
+
+
+def _blank_comment_lines(block, cls):
+    """``block`` with each line whose first non-blank byte is ``#`` blanked
+    from there to its end; None when a ``#`` follows data on its line."""
+    hashes = np.flatnonzero(cls == _HASH)
+    # bounds[i] + 1 is where line i starts and bounds[i + 1] where it ends
+    bounds = np.concatenate(([-1], np.flatnonzero(cls == _NEWLINE), [cls.size]))
+    line = np.searchsorted(bounds, hashes) - 1
+    words = np.flatnonzero(_run_starts(cls > _NEWLINE))
+    first = words[np.searchsorted(words, bounds[line] + 1)]
+    if (cls[first] != _HASH).any():
+        return None
+    first, one = np.unique(first, return_index=True)
+    buf = np.frombuffer(block, dtype=np.uint8).copy()
+    buf[concat_ranges(first, bounds[line[one] + 1])] = ord(" ")
+    return buf.tobytes()
 
 
 def _parse_edge_lines(lines):
@@ -458,9 +523,30 @@ def rank_labels(*partitions):
 
 def parse_community_lines(stream):
     """Read raw community member lists: one community per line, ids
-    whitespace-separated.  No partition semantics are checked here."""
+    whitespace-separated.  No partition semantics are checked here.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped.  ``stream`` is a binary or text file object, or any iterable of
+    lines.  A binary stream is read whole and, when well formed, parsed by
+    the edge list's block reader (:func:`_scan_ids`); anything else goes
+    through the line-at-a-time parser.  Both give the same lists and the
+    same :class:`ParseError`.
+    """
+    if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
+        data = stream.read()
+        ids, sizes = _scan_ids(data) or (None, None)
+        if ids is not None:
+            flat = iter(ids.tolist())
+            return [list(itertools.islice(flat, n)) for n in sizes.tolist()]
+        stream = io.BytesIO(data)
+    return _parse_community_lines(stream)
+
+
+def _parse_community_lines(lines):
+    """The member lists of an iterable of lines, one at a time; raises
+    :class:`ParseError` naming the first bad line."""
     comms = []
-    for lineno, raw in enumerate(stream, 1):
+    for lineno, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
             raw = raw.decode("ascii", errors="replace")
         line = raw.strip()

@@ -466,3 +466,17 @@ def test_bench_rejects_bad_worker_list(capsys):
                            "--workers", "2,4", "--reps", "1")
     assert code == 2
     assert "worker_counts" in err
+
+
+def test_bench_study_error_exits_1(capsys, monkeypatch):
+    import commqual.bench
+
+    def diverged(*args, **kwargs):
+        raise commqual.bench.StudyError("values diverged from the baseline")
+
+    monkeypatch.setattr(commqual.bench, "run_scaling_study", diverged)
+    code, out, err = run_cli(capsys, "bench", "--nodes", "300",
+                             "--workers", "1", "--reps", "1")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "error: values diverged from the baseline"

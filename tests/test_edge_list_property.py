@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from commqual.graph import ParseError, _parse_edge_lines, load_edge_list  # noqa: E402
 from oracles import network_reference  # noqa: E402
 
-ALPHABET = "0123456789 \t\r\n\x0b\x0c\x1c#+-_x"
+ALPHABET = "0123456789 \t\r\n\x0b\x0c\x1c\x00\x01\x1d\x7f#+-_x"
 SMALL = st.integers(0, 40)
 IDS = st.one_of(SMALL, SMALL, SMALL, st.integers(-2**70, 2**70),
                 st.sampled_from([2**63 - 1, 2**63, -2**63, 10**20]))

@@ -1,13 +1,14 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from commqual.graph import (
-    Network, OverlapError, ParseError, Partition, _dense_labels,
-    _loadtxt_edges, _sorted_unique, build_contingency, load_communities,
-    load_edge_list, shard,
+    _BLOCK, Network, OverlapError, ParseError, Partition, _dense_labels,
+    _parse_community_lines, _scan_ids, _sorted_unique, build_contingency,
+    load_communities, load_edge_list, parse_community_lines, shard,
 )
 from conftest import random_graph, random_partition
 from oracles import network_reference
@@ -73,7 +74,7 @@ def _assert_matches_reference(net, data):
 ])
 def test_edge_list_deep_bad_line(tail, message):
     data = (_DEEP + tail + "7 8\n").encode()
-    assert _loadtxt_edges(data) is None
+    assert _scan_ids(data, 2) is None
     with pytest.raises(ParseError) as info:
         _load_quietly(data)
     assert str(info.value) == message
@@ -86,7 +87,7 @@ def test_edge_list_deep_bad_line(tail, message):
 ])
 def test_edge_list_deep_good_input_takes_fast_path(text):
     data = text.encode()
-    assert _loadtxt_edges(data) is not None
+    assert _scan_ids(data, 2) is not None
     _assert_matches_reference(_load_quietly(data), data)
 
 
@@ -96,11 +97,60 @@ def test_edge_list_only_comments():
         _load_quietly(data)
 
 
+def test_blank_lines_only():
+    # np.fromstring reads a blank buffer as [0]; the readers must not
+    data = b"  \n" * 50_001
+    with pytest.raises(ParseError, match="^no edges found in input$"):
+        _load_quietly(data)
+    with pytest.raises(ParseError, match="^no communities found in input$"):
+        parse_community_lines(io.BytesIO(data))
+
+
 def test_edge_list_int64_edges():
-    net = load_edge_list(io.StringIO(f"0 {2**63 - 1}\n"))
-    assert net.orig_ids.tolist() == [0, 2**63 - 1]
+    for stream in (io.StringIO(f"0 {2**63 - 1}\n"),
+                   io.BytesIO(f"0 {2**63 - 1}\n".encode())):
+        net = load_edge_list(stream)
+        assert net.orig_ids.tolist() == [0, 2**63 - 1]
     with pytest.raises(ParseError, match="^line 2: node id beyond int64 in "):
         load_edge_list(io.StringIO(f"0 1\n0 {2**63}\n"))
+
+
+def test_edge_list_bad_line_past_first_block():
+    good = "".join(f"{i} {i + 1}\n" for i in range(3 * _BLOCK // 12))
+    assert len(good) > 2 * _BLOCK
+    lineno = good.count("\n") + 1
+    data = (good + "1 x\n7 8\n").encode()
+    with pytest.raises(ParseError) as info:
+        _load_quietly(data)
+    assert str(info.value) == f"line {lineno}: non-integer node id in '1 x'"
+
+
+def test_edge_list_crlf_at_block_cut():
+    body = "".join(f"{i} {i + 1}\r\n" for i in range(_BLOCK // 8))
+    # leading zeros on the first id move a \r\n onto the block boundary
+    pad = _BLOCK - 1 - body.rindex("\r", 0, _BLOCK)
+    data = ("0" * pad + body).encode()
+    assert data[_BLOCK - 1:_BLOCK + 1] == b"\r\n"
+    assert _scan_ids(data, 2) is not None
+    _assert_matches_reference(_load_quietly(data), data)
+
+
+def test_edge_reader_peak_memory():
+    # reading block by block, the reader peaks below the network build that
+    # follows it; a whole-buffer scan would not
+    data = "".join(f"{i} {3 * i + 1}\n" for i in range(330_000)).encode()
+    assert len(data) > 4_000_000
+    tracemalloc.start()
+    try:
+        edges, _ = _scan_ids(data, 2)
+        reader_peak = tracemalloc.get_traced_memory()[1]
+        u, v = edges[:, 0].copy(), edges[:, 1].copy()
+        tracemalloc.reset_peak()
+        Network.from_edge_array(u, v)
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reader_peak <= build_peak
 
 
 @pytest.mark.parametrize("pairs", [
@@ -205,6 +255,44 @@ def test_load_communities():
         load_communities(io.StringIO("1 2\n2 3\n"), 6)
     with pytest.raises(ParseError):
         load_communities(io.StringIO("1 a\n"), 6)
+
+
+# 50,000 good community lines, so a bad line lands at line 50,001
+_DEEP_COMMUNITIES = "".join(f"{i} {3 * i + 1} {3 * i + 2}\n" for i in range(50_000))
+
+
+def _parse_quietly(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return parse_community_lines(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("tail,message", [
+    ("1 x\n", "line 50001: non-integer node id"),
+    ("1 -2\n", "line 50001: negative node id"),
+    ("99999999999999999999 1\n", "line 50001: node id beyond int64"),
+    ("1 2 # c\n", "line 50001: non-integer node id"),
+])
+def test_community_lines_deep_bad_line(tail, message):
+    data = (_DEEP_COMMUNITIES + tail + "7 8\n").encode()
+    assert _scan_ids(data) is None
+    with pytest.raises(ParseError) as info:
+        _parse_quietly(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    _DEEP_COMMUNITIES.replace("\n", "\r\n") + "7 8\r\n",  # CRLF
+    "# Undirected graph\n# FromNodeId\tToNodeId\n" + _DEEP_COMMUNITIES,  # SNAP
+    _DEEP_COMMUNITIES + "  # c 1 2\n\t#\n\n \t\n7 8\n",  # deep comments, blanks
+    _DEEP_COMMUNITIES + "7 8",  # no final newline
+], ids=["crlf", "snap-header", "deep-comments", "no-final-newline"])
+def test_community_lines_deep_good_input_takes_fast_path(text):
+    data = text.encode()
+    assert _scan_ids(data) is not None
+    got = _parse_quietly(data)
+    assert got == _parse_community_lines(io.BytesIO(data))
+    assert len(got) >= 50_000
 
 
 def test_node_map_roundtrip():
