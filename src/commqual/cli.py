@@ -261,6 +261,9 @@ def cmd_bench(args):
     return 0
 
 
+_WRITE_PAIRS = 1 << 16  # edges per formatted write of ``cmd_generate``
+
+
 def cmd_generate(args):
     from .bench import GeneratorParams, generate_network
 
@@ -275,9 +278,13 @@ def cmd_generate(args):
     cmty_path = args.out + ".cmty"
     src = np.repeat(np.arange(network.node_count), network.degrees())
     mask = src < network.indices
+    pairs = np.column_stack([src[mask], network.indices[mask]])
     with open(edges_path, "w") as fh:
-        for u, v in zip(src[mask].tolist(), network.indices[mask].tolist()):
-            fh.write(f"{u} {v}\n")
+        # one formatted write per slice of pairs bounds the ints and text
+        # held at once
+        for start in range(0, len(pairs), _WRITE_PAIRS):
+            chunk = pairs[start:start + _WRITE_PAIRS]
+            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
     with open(cmty_path, "w") as fh:
         for members in ground.communities:
             fh.write(" ".join(map(str, members.tolist())) + "\n")

@@ -17,7 +17,6 @@ import io
 import itertools
 import logging
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +41,16 @@ def _sorted_unique(x):
     times slower than sorting for large integer arrays; the result is the
     same flattened, sorted array of distinct values.
     """
-    s = np.sort(x, axis=None)
-    if s.size == 0:
-        return s
+    return _distinct(np.sort(x, axis=None))
+
+
+def _distinct(s):
+    """The distinct values of the sorted 1-D array ``s``; ``s`` itself when
+    no value repeats."""
     keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+    return s if keep.all() else s[keep]
 
 
 def concat_ranges(starts, ends):
@@ -120,29 +122,45 @@ class Network:
             node_count = int(max(u.max(initial=-1), v.max(initial=-1)) + 1)
         node_count = int(node_count)
 
+        # canonical orientation, then dedupe on the combined key; each array
+        # below is built in place and dropped once used.  The key
+        # min * n + max is summed as min * (n - 1) + u + v, which needs no
+        # temporary
+        key = np.minimum(u, v)
+        key *= node_count - 1
+        key += u
+        key += v
         loops = u == v
+        del u, v
         self_loops = int(np.count_nonzero(loops))
-        if self_loops:
-            keep = ~loops
-            u, v = u[keep], v[keep]
-
-        # canonical orientation, then dedupe on the combined key
-        key = np.minimum(u, v) * node_count + np.maximum(u, v)
-        uniq = _sorted_unique(key)
-        duplicates = int(key.size - uniq.size)
-        a, b = np.divmod(uniq, node_count)
+        key[loops] = _INT64_MAX  # a self loop sorts last and is cut off
+        del loops
+        key.sort()
+        uniq = _distinct(key[:key.size - self_loops])
+        duplicates = int(key.size - self_loops - uniq.size)
+        del key
 
         # both orientations sorted by (row, column): rows in order, each
         # row's neighbours ascending
-        both = np.sort(np.concatenate([uniq, b * node_count + a]))
-        indices = both % node_count
-        counts = np.bincount(np.concatenate([a, b]), minlength=node_count)
+        m = uniq.size
+        both = np.empty(2 * m, dtype=np.int64)
+        low, high = both[:m], both[m:]
+        np.floor_divide(uniq, node_count, out=low)
+        np.remainder(uniq, node_count, out=high)
+        counts = np.bincount(low, minlength=node_count)
+        counts += np.bincount(high, minlength=node_count)
+        high *= node_count
+        high += low
+        low[:] = uniq
+        del uniq, low, high
+        both.sort()
+        indices = np.remainder(both, node_count, out=both)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
 
         if orig_ids is None:
             orig_ids = np.arange(node_count, dtype=np.int64)
-        return cls(node_count, uniq.size, indptr, indices, orig_ids,
+        return cls(node_count, m, indptr, indices, orig_ids,
                    self_loops, duplicates)
 
     def degrees(self):
@@ -155,8 +173,11 @@ class Network:
         """Translate original node labels to dense ids (error on unknown)."""
         labels = np.asarray(labels, dtype=np.int64)
         pos = np.searchsorted(self.orig_ids, labels)
-        pos_c = np.minimum(pos, self.orig_ids.size - 1)
-        bad = (pos >= self.orig_ids.size) | (self.orig_ids[pos_c] != labels)
+        if self.orig_ids.size == 0:  # a network without nodes has none of them
+            bad = np.ones(labels.shape, dtype=bool)
+        else:
+            pos_c = np.minimum(pos, self.orig_ids.size - 1)
+            bad = (pos >= self.orig_ids.size) | (self.orig_ids[pos_c] != labels)
         if bad.any():
             missing = labels[bad][0]
             raise ValueError(f"node {missing} not present in the network")
@@ -190,17 +211,18 @@ def load_edge_list(stream):
 
     ``stream`` is a binary or text file object, or any iterable of lines.
     A binary stream is read whole and, when well formed, parsed in blocks of
-    about 1 MiB by ``np.fromstring`` (:func:`_scan_ids`); anything else, a
+    about 64 KiB by ``np.fromstring`` (:func:`_scan_ids`); anything else, a
     buffer that reader refuses included, goes through the line-at-a-time
     parser, which reports the first bad line.  Both give the same
     :class:`Network` and the same :class:`ParseError`.
     """
-    edges = None
     if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
         data = stream.read()  # binary streams break lines at b"\n" only
         edges, _ = _scan_ids(data, width=2) or (None, None)
-        stream = io.BytesIO(data)
-    if edges is None:
+        if edges is None:
+            edges = _parse_edge_lines(io.BytesIO(data))
+        del data  # the file bytes are not kept through the build
+    else:
         edges = _parse_edge_lines(stream)
 
     edges, labels = _dense_labels(edges)
@@ -214,13 +236,13 @@ def load_edge_list(stream):
 
 
 def _dense_labels(ids):
-    """``ids`` (non-negative) replaced by their ranks 0..n-1 among the
-    distinct values, and the sorted distinct values.
+    """``ids`` (non-negative) overwritten with their ranks 0..n-1 among the
+    distinct values; returns it and the sorted distinct values.
 
     When the largest value is below twice the number of ids, a presence mask
     and a lookup table (9 bytes a slot, so at most 18 an id) rank them in two
-    O(n) passes; otherwise one sort does, which allocates at least 24 bytes
-    an id.  Both give the same result.
+    O(n) passes, written back a slice at a time; otherwise one sort does,
+    which allocates at least 24 bytes an id.  Both give the same result.
     """
     top = int(ids.max())
     if top < 2 * ids.size:
@@ -229,12 +251,19 @@ def _dense_labels(ids):
         labels = np.flatnonzero(present)
         dense_of = np.empty(top + 1, dtype=np.int64)
         dense_of[labels] = np.arange(labels.size)
-        return dense_of[ids], labels
+        for start in range(0, len(ids), _BLOCK):
+            ids[start:start + _BLOCK] = dense_of[ids[start:start + _BLOCK]]
+        return ids, labels
     labels, ranks = np.unique(ids, return_inverse=True)
-    return ranks.reshape(ids.shape), labels
+    ids[...] = ranks.reshape(ids.shape)
+    return ids, labels
 
 
-_BLOCK = 1 << 20  # bytes per ``np.fromstring`` call of the fast reader
+# bytes per ``np.fromstring`` call of the fast reader: small enough that a
+# block's temporaries stay below malloc's mmap threshold and are reused from
+# one block to the next; 1 MiB blocks are mapped and faulted in again for
+# every block (about 100k page faults for a 100 MB file)
+_BLOCK = 1 << 16
 
 # ``bytes.translate`` table of the fast reader's byte classes; it takes no
 # other byte outside a comment
@@ -247,7 +276,7 @@ _BYTE_CLASS = bytes(
 
 def _scan_ids(data, width=None):
     """The ids of a byte buffer and the number on each line holding any,
-    parsed about 1 MiB at a time by ``np.fromstring``; or None where the
+    parsed about 64 KiB at a time by ``np.fromstring``; or None where the
     result might differ from the line parsers'.
 
     Returns ``(ids, sizes)``: the int64 ids in file order and, for each line
@@ -259,30 +288,45 @@ def _scan_ids(data, width=None):
     other byte, an error or warning from ``fromstring``, a value count that
     differs from the number of digit runs, a value of ``INT64_MAX``
     (``fromstring`` saturates on overflow), or no ids at all.
+
+    Every block is checked and its ids counted before any is parsed, so the
+    ids fill one array of the exact size and a block's parse is dropped once
+    copied into it.
     """
     if not data.isascii() or (b"\r" in data
                                and data.count(b"\r") != data.count(b"\r\n")):
         return None
-    ids, sizes = [], []
-    start = 0
-    while start < len(data):
+    cuts, counts, sizes = [0], [], []
+    while cuts[-1] < len(data):
         # cut after a newline, so every line lies in one block
-        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        scanned = _scan_block(data[start:end], width)
-        if scanned is None:
+        end = data.find(b"\n", cuts[-1] + _BLOCK) + 1 or len(data)
+        checked = _check_block(data[cuts[-1]:end], width)
+        if checked is None:
             return None
-        ids.append(scanned[0])
-        sizes.append(scanned[1])
-        start = end
-    if sum(part.size for part in ids) == 0:
+        counts.append(checked[0])
+        sizes.append(checked[1])
+        cuts.append(end)
+    ids = np.empty(sum(counts), dtype=np.int64)
+    if ids.size == 0:
         return None  # the line parser names the empty input
+    at = 0
+    for start, end, count in zip(cuts, cuts[1:], counts):
+        if count:
+            values = _parse_block(data[start:end], count)
+            if values is None:
+                return None
+            ids[at:at + count] = values
+            at += count
     if width is not None:
-        return np.concatenate(ids).reshape(-1, width), None
-    return np.concatenate(ids), np.concatenate(sizes)
+        return ids.reshape(-1, width), None
+    return ids, np.concatenate(sizes)
 
 
-def _scan_block(block, width):
-    """:func:`_scan_ids` of one block that ends at a line end."""
+def _check_block(block, width):
+    """The number of digit runs in one block that ends at a line end, and
+    (without ``width``) the number on each line holding any; None when the
+    block holds a byte :func:`_scan_ids` refuses, or a line of other than 0
+    or ``width`` runs."""
     cls = _byte_classes(block)
     if b"#" in block:
         block = _blank_comment_lines(block, cls)
@@ -291,23 +335,37 @@ def _scan_block(block, width):
         cls = _byte_classes(block)
     if cls.max() > _DIGIT:
         return None
-    starts = _run_starts(cls == _DIGIT)
-    count = int(np.count_nonzero(starts))
-    # digit runs per line, each line from its first byte through its newline
-    firsts = np.concatenate(([0], np.flatnonzero(cls[:-1] == _NEWLINE) + 1))
-    per_line = np.add.reduceat(starts, firsts, dtype=np.int64)
-    if width is not None and ((per_line != 0) & (per_line != width)).any():
-        return None
+    runs = _run_starts(cls == _DIGIT)
+    count = int(np.count_nonzero(runs))
+    # one byte per digit run and per line end, in file order, with every
+    # line closed at both ends
+    run, end = bytes([_DIGIT]), bytes([_NEWLINE])
+    events = end + cls[runs | (cls == _NEWLINE)].tobytes() + end
+    if width is not None:
+        if run * (width + 1) in events or any(
+                end + run * k + end in events for k in range(1, width)):
+            return None
+        return count, None
+    ends = np.flatnonzero(np.frombuffer(events, dtype=np.uint8) == _NEWLINE)
+    per_line = np.diff(ends) - 1
+    return count, per_line[per_line > 0]
+
+
+def _parse_block(block, count):
+    """The ``count`` int64 values of one block :func:`_check_block` took, or
+    None on an error, a warning, another number of values or a value
+    :func:`_scan_ids` refuses."""
+    if b"#" in block:
+        block = _blank_comment_lines(block, _byte_classes(block))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ids = np.fromstring(block, dtype=np.int64, sep=" ")
     except (ValueError, Warning):
         return None
-    # a blank block reads as [0], and a lone sign as 0
     if ids.size != count or ids.min() < 0 or ids.max() == _INT64_MAX:
         return None
-    return ids, None if width is not None else per_line[per_line > 0]
+    return ids
 
 
 def _byte_classes(block):
@@ -580,14 +638,14 @@ def load_communities(stream, universe_size):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PartitionShard:
     """The communities of one worker under modulo sharding; community
     ``comm_ids[i]`` holds the next ``sizes[i]`` labels of ``members``."""
 
-    comm_ids: np.ndarray
-    sizes: np.ndarray
-    members: np.ndarray
+    __slots__ = ("comm_ids", "sizes", "members")
+
+    def __init__(self, comm_ids, sizes, members):
+        self.comm_ids, self.sizes, self.members = comm_ids, sizes, members
 
     def __len__(self):
         return self.comm_ids.size

@@ -480,3 +480,22 @@ def test_bench_study_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == "error: values diverged from the baseline"
+
+
+def test_generate_writes_the_per_edge_writers_bytes(capsys, tmp_path):
+    # the edge file is written a slice of pairs at a time; the bytes must be
+    # those of one "u v" line per canonical edge (u < v, rows in order), and
+    # 20000 nodes give more edges than one slice holds
+    prefix = str(tmp_path / "synth")
+    code, _, _ = run_cli(capsys, "generate", "--nodes", "20000", "--seed", "7",
+                         "--out", prefix)
+    assert code == 0
+    network, ground = generate_network(GeneratorParams(node_count=20000, seed=7))
+    edges = []
+    for u in range(network.node_count):
+        edges += [f"{u} {v}\n" for v in network.neighbors(u).tolist() if u < v]
+    assert len(edges) > 1 << 16
+    assert (tmp_path / "synth.edges").read_bytes() == "".join(edges).encode()
+    lines = [" ".join(map(str, members.tolist())) + "\n"
+             for members in ground.communities]
+    assert (tmp_path / "synth.cmty").read_bytes() == "".join(lines).encode()

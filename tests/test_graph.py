@@ -65,6 +65,9 @@ def _assert_matches_reference(net, data):
 
 @pytest.mark.parametrize("tail,message", [
     ("1 2 3\n", "line 50001: expected two node ids, got '1 2 3'"),
+    # an even number of ids in all, so only the per-line check can refuse
+    ("1\n2\n", "line 50001: expected two node ids, got '1'"),
+    ("1 2 3\n4\n", "line 50001: expected two node ids, got '1 2 3'"),
     ("1 x\n", "line 50001: non-integer node id in '1 x'"),
     ("1 -2\n", "line 50001: negative node id in '1 -2'"),
     ("1 2 # c\n", "line 50001: expected two node ids, got '1 2 # c'"),
@@ -153,6 +156,45 @@ def test_edge_reader_peak_memory():
     assert reader_peak <= build_peak
 
 
+def test_from_edge_array_peak_memory():
+    # the build sorts and reduces in place: beyond its inputs it holds the
+    # key, its deduplicated copy and the two orientations, about 1.5 times
+    # the CSR it returns
+    rng = np.random.default_rng(21)
+    u = rng.integers(0, 20_000, 300_000)
+    v = rng.integers(0, 20_000, 300_000)
+    tracemalloc.start()
+    try:
+        net = Network.from_edge_array(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.self_loops_dropped and net.duplicates_dropped
+    assert peak <= 2 * (net.indptr.nbytes + net.indices.nbytes)
+
+
+def test_load_edge_list_peak_memory():
+    # SNAP-style binary input: a header, tabs, both orientations of every
+    # edge, sparse labels.  The file bytes go once parsed and the ids are
+    # held once, ranked in place: the peak is the ids plus the build, about
+    # 3.3 times the network returned (8.7 times when the bytes, a second
+    # copy of the ids and the build's temporaries were all held)
+    rng = np.random.default_rng(22)
+    u = 3 * rng.integers(0, 20_000, 150_000) + 1
+    v = 3 * rng.integers(0, 20_000, 150_000) + 1
+    text = "".join(f"{a}\t{b}\n{b}\t{a}\n" for a, b in zip(u.tolist(), v.tolist()))
+    data = ("# Nodes: 20000\n" + text).encode()
+    tracemalloc.start()
+    try:
+        net = _load_quietly(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.duplicates_dropped >= 150_000
+    out = net.indptr.nbytes + net.indices.nbytes + net.orig_ids.nbytes
+    assert peak <= 4 * out
+
+
 @pytest.mark.parametrize("pairs", [
     [(0, 1), (1, 2), (5, 3)],  # largest label = endpoints - 1: lookup table
     [(0, 1), (1, 2), (6, 3)],  # largest label = endpoints: lookup table
@@ -193,9 +235,12 @@ def test_dense_labels_matches_np_unique(size, top):
     rng = np.random.default_rng(size)
     ids = rng.integers(0, largest + 1, size=size, dtype=np.int64)
     ids[rng.integers(size)] = largest
-    for shaped in (ids, ids.reshape(-1, 1)):
-        ranks, labels = _dense_labels(shaped)
+    # the ids are ranked in place, also through a strided view
+    for shaped in (ids.copy(), ids.reshape(-1, 1).copy(),
+                   np.column_stack([ids, ids])[:, 1]):
         want_labels, want_ranks = np.unique(shaped, return_inverse=True)
+        ranks, labels = _dense_labels(shaped)
+        assert ranks is shaped
         assert np.array_equal(labels, want_labels)
         assert ranks.shape == shaped.shape
         assert np.array_equal(ranks.reshape(-1), want_ranks.reshape(-1))
@@ -230,6 +275,16 @@ def test_to_dense():
     assert net.to_dense([10, 30, 20]).tolist() == [0, 2, 1]
     with pytest.raises(ValueError, match="node 99"):
         net.to_dense([10, 99])
+
+
+def test_to_dense_on_a_network_without_nodes():
+    net = Network.from_edge_array([], [])
+    assert net.node_count == 0 and net.edge_count == 0
+    net.validate()
+    assert net.to_dense([]).tolist() == []
+    with pytest.raises(ValueError) as info:
+        net.to_dense([5, 7])
+    assert str(info.value) == "node 5 not present in the network"
 
 
 def test_partition_validation():

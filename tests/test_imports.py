@@ -31,6 +31,12 @@ def test_graph_import_loads_graph_alone():
     assert loaded_after("import commqual.graph") == {"commqual", "commqual.graph"}
 
 
+def test_graph_import_leaves_dataclasses_out():
+    out = run_python("import sys\nimport commqual.graph\n"
+                     "print('dataclasses' in sys.modules)")
+    assert out == "False\n"
+
+
 def test_cli_import_leaves_bench_out():
     loaded = loaded_after("import commqual.cli")
     assert "commqual.engine" in loaded
