@@ -228,6 +228,7 @@ def cmd_bench(args):
         perturb_partition, run_scaling_study,
     )
 
+    _check_out(args.out)
     counts = [int(tok) for tok in args.workers.split(",") if tok.strip()]
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
@@ -267,6 +268,10 @@ _WRITE_PAIRS = 1 << 16  # edges per formatted write of ``cmd_generate``
 def cmd_generate(args):
     from .bench import GeneratorParams, generate_network
 
+    edges_path = args.out + ".edges"
+    cmty_path = args.out + ".cmty"
+    _check_out(edges_path)
+    _check_out(cmty_path)
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
         max_degree=args.max_degree, mixing=args.mixing,
@@ -274,8 +279,6 @@ def cmd_generate(args):
         seed=args.seed)
     network, ground = generate_network(params)
 
-    edges_path = args.out + ".edges"
-    cmty_path = args.out + ".cmty"
     src = np.repeat(np.arange(network.node_count), network.degrees())
     mask = src < network.indices
     pairs = np.column_stack([src[mask], network.indices[mask]])
@@ -306,8 +309,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ValueError covers ParseError and OverlapError; a bare OSError (a failed
-    # fork, say) is not bad input
+    # ValueError covers ParseError and OverlapError; a worker that cannot be
+    # started raises EngineError, so a failed fork is not bad input
     except (ValueError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
         return _error(exc, 2)

@@ -51,7 +51,7 @@ from ..pair_metrics import (
     PairMetrics, pair_counts_striped, pair_finish, pair_partial,
 )
 from ..intrinsic_metrics import intrinsic_finish, intrinsic_partial
-from .transport import RING, BackendConfig, PhaseTiming, run_workers
+from .transport import RING, BackendConfig, run_workers
 
 
 def shared_labels(ground, detected):
@@ -76,10 +76,9 @@ def _circulated_labels(ctx, detected):
     own = shard(detected, ctx.num_workers, ctx.worker_id)
     records = list(enumerate((own.comm_ids, own.sizes, own.members)))
     shards = [records] + [foreign for _origin, foreign in ctx.circulate(records)]
-    with ctx.compute():
-        ids, sizes, members = (np.concatenate([values for _, values in column])
-                               for column in zip(*shards))
-        return scatter_labels(ids, sizes, members)
+    ids, sizes, members = (np.concatenate([values for _, values in column])
+                           for column in zip(*shards))
+    return scatter_labels(ids, sizes, members)
 
 
 def _row_worker(ctx, partial, ground, detected, detected_labels):
@@ -89,24 +88,18 @@ def _row_worker(ctx, partial, ground, detected, detected_labels):
     circulation of the detected shards."""
     if detected_labels is None:
         detected_labels = _circulated_labels(ctx, detected)
-    with ctx.compute():
-        return partial(build_contingency(ground, detected, detected_labels,
-                                         ctx.num_workers, ctx.worker_id))
-
-
-def _merged(out, merge):
-    """The workers' payloads merged in worker order, and the run's timing."""
-    return (reduce(merge, [payload for payload, _ in out]),
-            PhaseTiming.from_workers([stats for _, stats in out]))
+    return partial(build_contingency(ground, detected, detected_labels,
+                                     ctx.num_workers, ctx.worker_id))
 
 
 def _run_rows(partial, merge, ground, detected, config):
     """Run the row worker on every backend and merge its partials."""
     ring = config.backend == RING
     labels = None if ring else detected.node_map().comm_of
-    out = run_workers(_row_worker, (partial, ground, detected, labels),
-                      config.num_workers, ring=ring)
-    return _merged(out, merge)
+    partials, timing = run_workers(_row_worker,
+                                   (partial, ground, detected, labels),
+                                   config.num_workers, ring=ring)
+    return reduce(merge, partials), timing
 
 
 def run_info_metrics(ground, detected, config=None):
@@ -127,9 +120,8 @@ def run_matching_metrics(ground, detected, config=None):
 
 
 def _pair_brute_worker(ctx, gmap, dmap):
-    with ctx.compute():
-        return pair_counts_striped(gmap, dmap, num_stripes=ctx.num_workers,
-                                   stripe_id=ctx.worker_id)
+    return pair_counts_striped(gmap, dmap, num_stripes=ctx.num_workers,
+                               stripe_id=ctx.worker_id)
 
 
 def run_pair_metrics(ground, detected, config=None, method="fast"):
@@ -154,10 +146,10 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     if method == "bruteforce":
         if config.backend == RING:
             raise ValueError("the ring backend has no brute-force mode")
-        out = run_workers(_pair_brute_worker,
-                          (ground.node_map(), detected.node_map()),
-                          config.num_workers)
-        counts, timing = _merged(out, operator.add)
+        stripes, timing = run_workers(_pair_brute_worker,
+                                      (ground.node_map(), detected.node_map()),
+                                      config.num_workers)
+        counts = reduce(operator.add, stripes)
     else:
         a11, timing = _run_rows(pair_partial, operator.add, ground, detected,
                                 config)
@@ -171,9 +163,8 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
 
 
 def _intrinsic_worker(ctx, network, partition):
-    with ctx.compute():
-        return intrinsic_partial(network, partition, ctx.num_workers,
-                                 ctx.worker_id)
+    return intrinsic_partial(network, partition, ctx.num_workers,
+                             ctx.worker_id)
 
 
 def run_intrinsic_metrics(network, partition, config=None):
@@ -185,10 +176,9 @@ def run_intrinsic_metrics(network, partition, config=None):
         raise ValueError("network has no edges")
     # every worker reads the network it needs from the shared CSR, so even
     # the ring backend opens no circulation
-    out = run_workers(_intrinsic_worker, (network, partition),
-                      config.num_workers)
-    return (intrinsic_finish([payload for payload, _ in out], network, partition),
-            PhaseTiming.from_workers([stats for _, stats in out]))
+    partials, timing = run_workers(_intrinsic_worker, (network, partition),
+                                   config.num_workers)
+    return intrinsic_finish(partials, network, partition), timing
 
 
 # each family's runner, under the name the CLI and the scaling study use

@@ -12,10 +12,11 @@ A parallel run is ``os.fork`` and ``os.pipe`` alone: every pipe is made
 before the first fork, each child keeps only its own ends, pickles its
 ``(error, payload, WorkerStats)`` into its result pipe and leaves through
 ``os._exit``, and the parent drains the result pipes in one ``select.poll``
-loop.  Workers time themselves (compute vs message wait) from inside the
-child, so reported numbers exclude process start-up and input construction.
-The aggregate view of a run is the maximum over workers, the usual
-convention for parallel phase timing.
+loop.  Workers time themselves from inside the child, so reported numbers
+exclude process start-up and input construction: a worker's message time is
+its ring exchanges, and every other second of its run is compute.  The
+aggregate view of a run is the maximum over workers, the usual convention
+for parallel phase timing.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import signal
 import struct
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +63,10 @@ class BackendConfig:
 class WorkerStats:
     """Per-worker timing and traffic counters.
 
-    ``receipts`` records, for every circulation phase the worker took part
-    in, the (origin id, hop count) of each foreign shard received, in arrival
-    order.
+    ``compute_s`` is ``total_s - message_s``: every second the worker spends
+    outside a ring exchange.  ``receipts`` records, for every circulation
+    phase the worker took part in, the (origin id, hop count) of each
+    foreign shard received, in arrival order.
     """
 
     worker_id: int
@@ -76,7 +77,7 @@ class WorkerStats:
     messages_sent: int = 0
     bytes_received: int = 0
     messages_received: int = 0
-    receipts: tuple = ()
+    receipts: list = field(default_factory=list)
 
 
 @dataclass
@@ -185,37 +186,16 @@ def _remaining_ms(deadline):
 
 
 class WorkerContext:
-    """Worker-side handle: identity, compute and message time, traffic
-    counters, and on the ring the pipe ends to the neighbours."""
+    """Worker-side handle: identity, the worker's :class:`WorkerStats`, and
+    on the ring the pipe ends to the neighbours."""
 
     def __init__(self, worker_id, num_workers, send_fd=None, recv_fd=None):
         self.worker_id = worker_id
         self.num_workers = num_workers
-        self.compute_s = 0.0
-        self.message_s = 0.0
+        self.stats = WorkerStats(worker_id)
         self._send_fd = send_fd
         self._recv_fd = recv_fd
         self._inbox = bytearray()  # received bytes not yet taken as a frame
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        self.bytes_received = 0
-        self.messages_received = 0
-        self._receipts = []
-
-    @contextmanager
-    def _timed(self, attr):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            setattr(self, attr, getattr(self, attr) + time.perf_counter() - t0)
-
-    def compute(self):
-        return self._timed("compute_s")
-
-    @property
-    def ring_enabled(self):
-        return self._send_fd is not None
 
     def _take_frame(self):
         """The payload of the first whole frame in the inbox, or None."""
@@ -234,40 +214,42 @@ class WorkerContext:
         larger than the pipe buffer cannot deadlock a ring in which every
         worker writes first.  Message time covers encoding and decoding as
         well as the wait."""
-        with self._timed("message_s"):
-            payload = message.to_bytes()
-            out = memoryview(_FRAME.pack(len(payload)) + payload)
-            incoming = self._take_frame()
-            poller = select.poll()
-            poller.register(self._send_fd, select.POLLOUT)
-            if incoming is None:
-                poller.register(self._recv_fd, select.POLLIN)
-            deadline = time.monotonic() + _RESULT_TIMEOUT_S
-            while out or incoming is None:
-                events = poller.poll(_remaining_ms(deadline))
-                if not events:
-                    raise EngineError(
-                        f"worker {self.worker_id} timed out on the ring")
-                for fd, _event in events:
-                    if fd == self._send_fd:
-                        out = out[os.write(fd, out):]
-                        if not out:
-                            poller.unregister(fd)
-                        continue
-                    data = os.read(fd, _PIPE_BYTES)
-                    if not data:
-                        raise EngineError(
-                            f"worker {self.worker_id}: ring neighbour "
-                            f"closed its pipe")
-                    self._inbox += data
-                    incoming = self._take_frame()
-                    if incoming is not None:
+        t0 = time.perf_counter()
+        payload = message.to_bytes()
+        out = memoryview(_FRAME.pack(len(payload)) + payload)
+        incoming = self._take_frame()
+        poller = select.poll()
+        poller.register(self._send_fd, select.POLLOUT)
+        if incoming is None:
+            poller.register(self._recv_fd, select.POLLIN)
+        deadline = time.monotonic() + _RESULT_TIMEOUT_S
+        while out or incoming is None:
+            events = poller.poll(_remaining_ms(deadline))
+            if not events:
+                raise EngineError(
+                    f"worker {self.worker_id} timed out on the ring")
+            for fd, _event in events:
+                if fd == self._send_fd:
+                    out = out[os.write(fd, out):]
+                    if not out:
                         poller.unregister(fd)
-            received = RingMessage.from_bytes(incoming)
-        self.bytes_sent += len(payload)
-        self.messages_sent += 1
-        self.bytes_received += len(incoming)
-        self.messages_received += 1
+                    continue
+                data = os.read(fd, _PIPE_BYTES)
+                if not data:
+                    raise EngineError(
+                        f"worker {self.worker_id}: ring neighbour "
+                        f"closed its pipe")
+                self._inbox += data
+                incoming = self._take_frame()
+                if incoming is not None:
+                    poller.unregister(fd)
+        received = RingMessage.from_bytes(incoming)
+        stats = self.stats
+        stats.message_s += time.perf_counter() - t0
+        stats.bytes_sent += len(payload)
+        stats.messages_sent += 1
+        stats.bytes_received += len(incoming)
+        stats.messages_received += 1
         return received
 
     def circulate(self, records):
@@ -280,10 +262,10 @@ class WorkerContext:
         are verified on receipt.
         """
         log = []
-        self._receipts.append(log)
+        self.stats.receipts.append(log)
         if self.num_workers == 1:
             return
-        if not self.ring_enabled:
+        if self._send_fd is None:
             raise EngineError("circulate() requires the ring backend")
         w = self.num_workers
         current = RingMessage(self.worker_id, 0, records)
@@ -300,18 +282,15 @@ class WorkerContext:
             yield msg.sender_id, msg.records
             current = msg
 
-    def finish(self, total_s):
-        return WorkerStats(
-            worker_id=self.worker_id,
-            total_s=total_s,
-            compute_s=self.compute_s,
-            message_s=self.message_s,
-            bytes_sent=self.bytes_sent,
-            messages_sent=self.messages_sent,
-            bytes_received=self.bytes_received,
-            messages_received=self.messages_received,
-            receipts=tuple(tuple(log) for log in self._receipts),
-        )
+
+def _run_worker(worker_fn, ctx, args, t0):
+    """``worker_fn(ctx, *args)`` and the worker's stats, its total time
+    counted from ``t0``."""
+    payload = worker_fn(ctx, *args)
+    stats = ctx.stats
+    stats.total_s = time.perf_counter() - t0
+    stats.compute_s = stats.total_s - stats.message_s
+    return payload, stats
 
 
 def _worker_main(worker_fn, worker_id, num_workers, args, ring_pipes,
@@ -336,9 +315,8 @@ def _worker_main(worker_fn, worker_id, num_workers, args, ring_pipes,
                     os.close(fd)
         ctx = WorkerContext(worker_id, num_workers, send_fd, recv_fd)
         try:
-            payload = worker_fn(ctx, *args)
             report = pickle.dumps(
-                (None, payload, ctx.finish(time.perf_counter() - t0)),
+                (None, *_run_worker(worker_fn, ctx, args, t0)),
                 protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException:
             report = pickle.dumps((traceback.format_exc(), None, None))
@@ -392,20 +370,27 @@ def _collect(pids, fds):
 
 
 def run_workers(worker_fn, args, num_workers, *, ring=False):
-    """Run ``worker_fn(ctx, *args)`` on every worker; return per-worker
-    (payload, stats) ordered by worker id.
+    """Run ``worker_fn(ctx, *args)`` on every worker; return the payloads
+    ordered by worker id and the run's :class:`PhaseTiming`.
 
     With one worker the function runs inline (no processes, and for a ring an
     empty circulation).  Otherwise workers are forked; under the ring flag
     worker p sends to p+1 and receives from p-1 over a pipe.  A worker that
-    fails, dies or outlives the deadline raises :class:`EngineError`, and
-    every worker still running is killed and reaped.
+    cannot be started, fails, dies or outlives the deadline raises
+    :class:`EngineError`, and every worker still running is killed and
+    reaped.
     """
     if num_workers == 1:
-        t0 = time.perf_counter()
-        ctx = WorkerContext(0, 1)
-        payload = worker_fn(ctx, *args)
-        return [(payload, ctx.finish(time.perf_counter() - t0))]
+        out = [_run_worker(worker_fn, WorkerContext(0, 1), args,
+                           time.perf_counter())]
+    else:
+        out = _run_forked(worker_fn, args, num_workers, ring)
+    payloads, stats = zip(*out)
+    return list(payloads), PhaseTiming.from_workers(stats)
+
+
+def _run_forked(worker_fn, args, num_workers, ring):
+    """Per-worker (payload, stats) of ``num_workers`` forked workers."""
     if not hasattr(os, "fork"):
         raise ValueError("parallel backends need os.fork, which this "
                          "platform lacks")
@@ -413,16 +398,20 @@ def run_workers(worker_fn, args, num_workers, *, ring=False):
     held = []  # pipe ends open in the parent
     pids = {}
     try:
-        for _ in range(num_workers * (2 if ring else 1)):
-            held.extend(os.pipe())
-        pipes = list(zip(held[0::2], held[1::2]))
-        result_pipes, ring_pipes = pipes[:num_workers], pipes[num_workers:]
-        for p in range(num_workers):
-            pid = os.fork()
-            if pid == 0:
-                _worker_main(worker_fn, p, num_workers, args, ring_pipes,
-                             result_pipes)
-            pids[p] = pid
+        try:
+            for _ in range(num_workers * (2 if ring else 1)):
+                held.extend(os.pipe())
+            pipes = list(zip(held[0::2], held[1::2]))
+            result_pipes, ring_pipes = pipes[:num_workers], pipes[num_workers:]
+            for p in range(num_workers):
+                pid = os.fork()
+                if pid == 0:
+                    _worker_main(worker_fn, p, num_workers, args, ring_pipes,
+                                 result_pipes)
+                pids[p] = pid
+        except OSError as exc:
+            raise EngineError(
+                f"could not start {num_workers} workers: {exc}") from exc
         reads = [r for r, _w in result_pipes]
         for fd in set(held) - set(reads):
             os.close(fd)

@@ -209,22 +209,10 @@ def load_edge_list(stream):
     presence mask and a lookup table when the largest label is below twice
     the number of endpoints, by sorting otherwise.
 
-    ``stream`` is a binary or text file object, or any iterable of lines.
-    A binary stream is read whole and, when well formed, parsed in blocks of
-    about 64 KiB by ``np.fromstring`` (:func:`_scan_ids`); anything else, a
-    buffer that reader refuses included, goes through the line-at-a-time
-    parser, which reports the first bad line.  Both give the same
-    :class:`Network` and the same :class:`ParseError`.
+    ``stream`` is a binary or text file object, or any iterable of lines,
+    read by :func:`_read_ids`.
     """
-    if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
-        data = stream.read()  # binary streams break lines at b"\n" only
-        edges, _ = _scan_ids(data, width=2) or (None, None)
-        if edges is None:
-            edges = _parse_edge_lines(io.BytesIO(data))
-        del data  # the file bytes are not kept through the build
-    else:
-        edges = _parse_edge_lines(stream)
-
+    edges, _ = _read_ids(stream, 2)
     edges, labels = _dense_labels(edges)
     net = Network.from_edge_array(edges[:, 0], edges[:, 1], orig_ids=labels,
                                   node_count=labels.size)
@@ -274,10 +262,29 @@ _BYTE_CLASS = bytes(
     for c in range(256))
 
 
+def _read_ids(stream, width=None):
+    """``(ids, sizes)`` of a stream, as :func:`_scan_ids` returns them.
+
+    A binary stream is read whole and, when well formed, parsed in blocks of
+    about 64 KiB by ``np.fromstring`` (:func:`_scan_ids`); anything else, a
+    buffer that reader refuses included, goes through :func:`_parse_lines`,
+    which reports the first bad line.  Both give the same ids and the same
+    :class:`ParseError`.  The file bytes are dropped on return, so no caller
+    holds them through a build.
+    """
+    if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
+        data = stream.read()  # binary streams break lines at b"\n" only
+        scanned = _scan_ids(data, width)
+        if scanned is not None:
+            return scanned
+        stream = io.BytesIO(data)
+    return _parse_lines(stream, width)
+
+
 def _scan_ids(data, width=None):
     """The ids of a byte buffer and the number on each line holding any,
-    parsed about 64 KiB at a time by ``np.fromstring``; or None where the
-    result might differ from the line parsers'.
+    parsed about 64 KiB at a time by ``np.fromstring``; or None where
+    :func:`_parse_lines` might give another result.
 
     Returns ``(ids, sizes)``: the int64 ids in file order and, for each line
     holding any, their number.  With ``width`` every line must hold none or
@@ -397,10 +404,12 @@ def _blank_comment_lines(block, cls):
     return buf.tobytes()
 
 
-def _parse_edge_lines(lines):
-    """The ``(k, 2)`` int64 edges of an iterable of lines, one at a time;
-    raises :class:`ParseError` naming the first bad line."""
-    us, vs = [], []
+def _parse_lines(lines, width=None):
+    """``(ids, sizes)`` of an iterable of lines, as :func:`_scan_ids`
+    returns them, parsed one line at a time; raises :class:`ParseError`
+    naming the first bad line.  With ``width`` (2: an edge list) a line must
+    hold none or ``width`` ids, and an error message quotes the line."""
+    ids, sizes = [], []
     for lineno, raw in enumerate(lines, 1):
         if isinstance(raw, bytes):
             raw = raw.decode("ascii", errors="replace")
@@ -408,22 +417,28 @@ def _parse_edge_lines(lines):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if width is not None and len(parts) != width:
             raise ParseError(f"line {lineno}: expected two node ids, got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            values = [int(tok) for tok in parts]
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer node id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative node id in {line!r}")
-        if u > _INT64_MAX or v > _INT64_MAX:
-            raise ParseError(f"line {lineno}: node id beyond int64 in {line!r}")
-        us.append(u)
-        vs.append(v)
-    if not us:
-        raise ParseError("no edges found in input")
-    return np.column_stack([np.array(us, dtype=np.int64),
-                            np.array(vs, dtype=np.int64)])
+            problem = "non-integer node id"
+        else:
+            problem = ("negative node id" if min(values) < 0
+                       else "node id beyond int64" if max(values) > _INT64_MAX
+                       else None)
+        if problem is not None:
+            quoted = "" if width is None else f" in {line!r}"
+            raise ParseError(f"line {lineno}: {problem}{quoted}")
+        ids += values
+        sizes.append(len(values))
+    if not sizes:
+        raise ParseError("no communities found in input" if width is None
+                         else "no edges found in input")
+    ids = np.array(ids, dtype=np.int64)
+    if width is not None:
+        return ids.reshape(-1, width), None
+    return ids, np.array(sizes, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -585,43 +600,11 @@ def parse_community_lines(stream):
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped.  ``stream`` is a binary or text file object, or any iterable of
-    lines.  A binary stream is read whole and, when well formed, parsed by
-    the edge list's block reader (:func:`_scan_ids`); anything else goes
-    through the line-at-a-time parser.  Both give the same lists and the
-    same :class:`ParseError`.
+    lines, read by :func:`_read_ids` as an edge list is.
     """
-    if isinstance(stream, (io.BufferedIOBase, io.RawIOBase)):
-        data = stream.read()
-        ids, sizes = _scan_ids(data) or (None, None)
-        if ids is not None:
-            flat = iter(ids.tolist())
-            return [list(itertools.islice(flat, n)) for n in sizes.tolist()]
-        stream = io.BytesIO(data)
-    return _parse_community_lines(stream)
-
-
-def _parse_community_lines(lines):
-    """The member lists of an iterable of lines, one at a time; raises
-    :class:`ParseError` naming the first bad line."""
-    comms = []
-    for lineno, raw in enumerate(lines, 1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("ascii", errors="replace")
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            members = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer node id") from None
-        if any(m < 0 for m in members):
-            raise ParseError(f"line {lineno}: negative node id")
-        if max(members) > _INT64_MAX:
-            raise ParseError(f"line {lineno}: node id beyond int64")
-        comms.append(members)
-    if not comms:
-        raise ParseError("no communities found in input")
-    return comms
+    ids, sizes = _read_ids(stream)
+    flat = iter(ids.tolist())
+    return [list(itertools.islice(flat, n)) for n in sizes.tolist()]
 
 
 def load_communities(stream, universe_size):

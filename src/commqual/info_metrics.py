@@ -56,17 +56,6 @@ class ContingencyTable:
         return {(int(r), int(c)): int(n)
                 for r, c, n in zip(self.rows, self.cols, self.counts)}
 
-    def transposed(self):
-        order = np.lexsort((self.rows, self.cols))
-        return ContingencyTable(
-            rows=self.cols[order],
-            cols=self.rows[order],
-            counts=self.counts[order],
-            row_sizes=self.col_sizes,
-            col_sizes=self.row_sizes,
-            universe_size=self.universe_size,
-        )
-
 
 def _row_sums(table, terms):
     # accumulate per row, then across rows: keeps rounding independent of

@@ -125,20 +125,6 @@ class IntrinsicReport:
         """The aggregate values, in :attr:`KEYS` order."""
         return (self.q, self.qds, self.total_edges, self.community_count)
 
-    def means(self):
-        """Unweighted means of the six measures across communities."""
-        k = len(self.rows)
-        acc = {"intra_edges": 0.0, "intra_density": 0.0, "contraction": 0.0,
-               "inter_edges": 0.0, "expansion": 0.0, "conductance": 0.0}
-        for r in self.rows:
-            acc["intra_edges"] += r.intra_edges
-            acc["intra_density"] += r.intra_density
-            acc["contraction"] += r.contraction
-            acc["inter_edges"] += r.inter_edges
-            acc["expansion"] += r.expansion
-            acc["conductance"] += r.conductance
-        return {name: val / k for name, val in acc.items()}
-
 
 def node_labels(network, partition):
     """Dense node id -> community id over the whole network; -1 unassigned.

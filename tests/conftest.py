@@ -79,3 +79,17 @@ def random_graph(rng, n, avg_degree):
 
 def as_sets(partition):
     return [set(c.tolist()) for c in partition.communities]
+
+
+def fail_after(real, calls_ok, error):
+    """``real`` for its first ``calls_ok`` calls, then raising ``error``:
+    a stand-in for ``os.fork`` or ``os.pipe`` that hits a resource limit
+    without ever asking the system for many processes or descriptors."""
+    calls = iter(range(calls_ok))
+
+    def wrapper(*args):
+        if next(calls, None) is None:
+            raise error
+        return real(*args)
+
+    return wrapper

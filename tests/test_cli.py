@@ -1,9 +1,12 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
 from commqual.bench import GeneratorParams, generate_network, perturb_partition
 from commqual.cli import main
-from conftest import T1_DETECTED, T1_GROUND, T2_COMMUNITIES, T2_EDGES
+from conftest import T1_DETECTED, T1_GROUND, T2_COMMUNITIES, T2_EDGES, fail_after
 
 
 @pytest.fixture
@@ -234,6 +237,51 @@ def test_bad_out_fails_before_any_input_is_read(capsys, t1_files, t2_files,
     assert line.startswith("error: ") and str(out) in line
     assert ("Not a directory" if where == "below a file"
             else "Is a directory") in line
+
+
+@pytest.mark.parametrize("command", ["bench", "generate"])
+@pytest.mark.parametrize("where", ["missing directory", "below a file",
+                                   "a directory"])
+def test_bad_out_fails_before_generating(capsys, tmp_path, monkeypatch,
+                                         command, where):
+    import commqual.bench
+
+    def never(params):
+        raise AssertionError("generated a network despite a bad --out")
+
+    monkeypatch.setattr(commqual.bench, "generate_network", never)
+    (tmp_path / "file").write_text("")
+    # generate writes PREFIX.edges and PREFIX.cmty; the directory case makes
+    # the second of them a directory
+    (tmp_path / "p.cmty").mkdir()
+    out, reason = {
+        "missing directory": (tmp_path / "absent" / "x", errno.ENOENT),
+        "below a file": (tmp_path / "file" / "x", errno.ENOTDIR),
+        "a directory": (tmp_path / ("p.cmty" if command == "bench" else "p"),
+                        errno.EISDIR),
+    }[where]
+    code, stdout, err = run_cli(capsys, command, "--nodes", "300",
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    line, = err.splitlines()
+    assert line.startswith("error: ") and os.strerror(reason) in line
+
+
+def test_quality_worker_that_cannot_start_exits_1(capsys, t2_files,
+                                                  monkeypatch):
+    # the second fork fails, as it would at the process limit
+    error = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(os, "fork", fail_after(os.fork, 1, error))
+    edges, cmty = t2_files
+    code, out, err = run_cli(capsys, "quality", "--network", str(edges),
+                             "--detected", str(cmty), "--backend", "shm",
+                             "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"error: could not start 2 workers: {error}")
 
 
 @pytest.mark.parametrize("backend,workers", [("seq", 1), ("shm", 2), ("ring", 2)])

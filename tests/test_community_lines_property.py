@@ -1,6 +1,7 @@
 """``parse_community_lines`` on a binary stream, which takes the block
-reader, against its own line parser on random text: the same member lists,
-or the same ParseError message, and no warning."""
+reader, against a text stream of the same text, which takes the line
+parser, on random text: the same member lists, or the same ParseError
+message, and no warning."""
 
 import io
 import warnings
@@ -10,9 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from commqual.graph import (  # noqa: E402
-    ParseError, _parse_community_lines, parse_community_lines,
-)
+from commqual.graph import ParseError, parse_community_lines  # noqa: E402
 
 ALPHABET = "0123456789 \t\r\n\x0b\x0c\x1c\x00\x01\x1d\x7f#+-_x"
 SMALL = st.integers(0, 40)
@@ -47,7 +46,7 @@ def test_parse_community_lines_agrees_with_line_parser(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(lambda: parse_community_lines(io.BytesIO(data)))
-    assert got == outcome(lambda: _parse_community_lines(io.BytesIO(data)))
+    assert got == outcome(lambda: parse_community_lines(io.StringIO(text)))
     if not isinstance(got, str):  # plain int lists, as the line parser gives
         assert all(type(c) is list and all(type(m) is int for m in c)
                    for c in got)

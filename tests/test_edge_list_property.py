@@ -1,4 +1,4 @@
-"""``load_edge_list`` on a binary stream against its own line parser on
+"""``load_edge_list`` on a binary stream against the line parser on
 random text: the same Network field by field, or the same ParseError
 message, and no warning."""
 
@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from commqual.graph import ParseError, _parse_edge_lines, load_edge_list  # noqa: E402
+from commqual.graph import ParseError, _parse_lines, load_edge_list  # noqa: E402
 from oracles import network_reference  # noqa: E402
 
 ALPHABET = "0123456789 \t\r\n\x0b\x0c\x1c\x00\x01\x1d\x7f#+-_x"
@@ -39,7 +39,7 @@ def test_load_edge_list_agrees_with_line_parser(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(lambda: load_edge_list(io.BytesIO(data)))
-    want = outcome(lambda: _parse_edge_lines(io.BytesIO(data)))
+    want = outcome(lambda: _parse_lines(io.BytesIO(data), 2)[0])
     if isinstance(want, str):
         assert got == want
         return

@@ -1,3 +1,4 @@
+import errno
 import os
 import time
 
@@ -11,8 +12,8 @@ from commqual.engine import (
 )
 from commqual.graph import Partition, shard
 from conftest import (
-    T1_EXPECTED, T2_EXPECTED, random_graph, random_partition, t2_network,
-    t2_partition,
+    T1_EXPECTED, T2_EXPECTED, fail_after, random_graph, random_partition,
+    t2_network, t2_partition,
 )
 
 BACKENDS_WORKERS = [
@@ -134,8 +135,8 @@ def test_ring_frame_larger_than_the_pipe_buffer(monkeypatch, workers):
     # writes first; a short deadline turns a deadlock into a prompt failure
     monkeypatch.setattr(transport, "_RESULT_TIMEOUT_S", 60.0)
     n = 1_000_000
-    out = run_workers(_big_record_worker, (n,), workers, ring=True)
-    for p, (seen, stats) in enumerate(out):
+    payloads, timing = run_workers(_big_record_worker, (n,), workers, ring=True)
+    for p, (seen, stats) in enumerate(zip(payloads, timing.workers)):
         assert seen == [((p - r) % workers, (p - r) % workers, True)
                         for r in range(1, workers)]
         assert stats.bytes_sent == stats.bytes_received
@@ -160,8 +161,8 @@ _SCENARIOS = {"ok": None, "raise": "kaboom", "die": "exited without reporting",
 def _run_scenario(monkeypatch, scenario, ring):
     monkeypatch.setattr(transport, "_RESULT_TIMEOUT_S", 1.0)
     if _SCENARIOS[scenario] is None:
-        assert [payload for payload, _ in run_workers(
-            _scenario_worker, (scenario,), 3, ring=ring)] == [0, 1, 2]
+        assert run_workers(_scenario_worker, (scenario,), 3,
+                           ring=ring)[0] == [0, 1, 2]
     else:
         with pytest.raises(EngineError, match=_SCENARIOS[scenario]):
             run_workers(_scenario_worker, (scenario,), 3, ring=ring)
@@ -185,6 +186,26 @@ def test_run_leaves_no_open_fd(monkeypatch, scenario, ring):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to count open descriptors")
+@pytest.mark.parametrize("name,calls_ok,error", [
+    ("fork", 1, BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+    ("pipe", 2, OSError(errno.EMFILE, os.strerror(errno.EMFILE))),
+])
+def test_worker_that_cannot_start_is_an_engine_error(monkeypatch, name,
+                                                     calls_ok, error):
+    # the second fork or the third pipe of a two-worker ring fails: at most
+    # one real child is started, and it is killed and reaped
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, name, fail_after(getattr(os, name), calls_ok, error))
+    with pytest.raises(EngineError, match="could not start 2 workers"):
+        run_workers(_scenario_worker, ("ok",), 2, ring=True)
+    monkeypatch.undo()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("ring", [False, True])
 def test_parallel_run_without_fork_is_a_value_error(monkeypatch, ring):
     monkeypatch.delattr(os, "fork")
@@ -196,8 +217,8 @@ def test_parallel_run_without_fork_is_a_value_error(monkeypatch, ring):
 
 def test_ring_circulation_orders_and_counts():
     w = 4
-    out = run_workers(_echo_worker, (0,), w, ring=True)
-    for p, (payload, stats) in enumerate(out):
+    payloads, timing = run_workers(_echo_worker, (0,), w, ring=True)
+    for p, (payload, stats) in enumerate(zip(payloads, timing.workers)):
         origins = [o for o, _ in payload]
         assert origins == [(p - r) % w for r in range(1, w)]
         assert all(o == v for o, v in payload)  # payload carried the origin id
@@ -223,10 +244,27 @@ def test_message_time_includes_codec(monkeypatch):
 
     monkeypatch.setattr(RingMessage, "to_bytes", slow_to_bytes)
     monkeypatch.setattr(RingMessage, "from_bytes", classmethod(slow_from_bytes))
-    out = run_workers(_echo_worker, (0,), 2, ring=True)
-    for _payload, stats in out:
+    _, timing = run_workers(_echo_worker, (0,), 2, ring=True)
+    for stats in timing.workers:
         assert stats.message_s >= 0.2
         assert stats.total_s - stats.compute_s - stats.message_s < 0.05, stats
+
+
+@pytest.mark.parametrize("backend,workers", [
+    ("seq", 1), ("shm", 2), ("shm", 3), ("ring", 2), ("ring", 3),
+])
+def test_compute_is_every_second_outside_messaging(random_case, backend,
+                                                   workers):
+    c = cfg(backend, workers)
+    pair = (random_case["ground"], random_case["detected"])
+    runs = [run(*pair, c) for run in (run_info_metrics, run_matching_metrics,
+                                      run_pair_metrics)]
+    runs.append(run_intrinsic_metrics(random_case["net"], pair[0], c))
+    for _result, timing in runs:
+        assert timing.num_workers == workers
+        for stats in timing.workers:
+            assert (stats.compute_s + stats.message_s
+                    == pytest.approx(stats.total_s, rel=1e-12, abs=0)), stats
 
 
 # ---------------------------------------------------------------------------
