@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from math import isclose
 
 import numpy as np
 
@@ -246,11 +245,16 @@ def _run_family(family, backend, workers, inputs, method):
     return result.values(), timing
 
 
-def _values_match(a, b):
-    """Counts must agree exactly, floats to within rounding."""
-    return all(x == y if isinstance(x, int)
-               else isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
-               for x, y in zip(a, b))
+def check_study_options(worker_counts, repetitions):
+    """The worker counts as a list, or ValueError if they are not ascending
+    and unique from 1, or if ``repetitions`` is below 1.  The CLI calls it
+    before generating any input."""
+    counts = list(worker_counts)
+    if not counts or counts[0] != 1 or counts != sorted(set(counts)):
+        raise ValueError("worker_counts must be ascending, unique, starting at 1")
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    return counts
 
 
 def run_scaling_study(family, backend, worker_counts, *, ground=None,
@@ -259,7 +263,8 @@ def run_scaling_study(family, backend, worker_counts, *, ground=None,
     """Time one metric family at increasing worker counts.
 
     Inputs must be pre-built objects; the study never touches the filesystem.
-    Every repetition's metric values are checked against the baseline run and
+    Every repetition's metric values must equal the baseline run's exactly,
+    as every backend and worker count gives the same floats bit for bit;
     any divergence aborts the study with :class:`StudyError` - a fast wrong
     answer is not a data point.  Reported times are medians over repetitions;
     speedup and efficiency are relative to the first (single-worker) row.
@@ -268,11 +273,7 @@ def run_scaling_study(family, backend, worker_counts, *, ground=None,
         raise ValueError(f"unknown family {family!r}; pick from {FAMILIES}")
     if backend not in (SHM, RING):
         raise ValueError("scaling studies run on the shm or ring backend")
-    counts = list(worker_counts)
-    if not counts or counts[0] != 1 or counts != sorted(set(counts)):
-        raise ValueError("worker_counts must be ascending, unique, starting at 1")
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    counts = check_study_options(worker_counts, repetitions)
     if family == "intrinsic":
         if network is None or ground is None:
             raise ValueError("intrinsic study needs network= and ground=")
@@ -291,7 +292,7 @@ def run_scaling_study(family, backend, worker_counts, *, ground=None,
             values, timing = _run_family(family, backend, w, inputs, method)
             if baseline_values is None:
                 baseline_values = values
-            elif not _values_match(baseline_values, values):
+            elif values != baseline_values:
                 raise StudyError(
                     f"{family}/{backend} at {w} workers produced {values}, "
                     f"baseline was {baseline_values}")

@@ -166,6 +166,7 @@ def _metric_lines(values, csv):
 
 def cmd_compare(args):
     _check_out(args.out)
+    config = BackendConfig(backend=args.backend, num_workers=args.workers)
     ground_lists = _read_partition_lists(args.ground_truth)
     detected_lists = _read_partition_lists(args.detected)
     max_id = max(max(c) for c in ground_lists + detected_lists)
@@ -173,7 +174,6 @@ def cmd_compare(args):
     # one label space for the three families, ranked once
     ground, detected = shared_labels(Partition(ground_lists, universe),
                                      Partition(detected_lists, universe))
-    config = BackendConfig(backend=args.backend, num_workers=args.workers)
 
     print(f"universe={universe} ground={len(ground)} detected={len(detected)} "
           f"backend={config.backend} workers={config.num_workers}",
@@ -204,12 +204,12 @@ _ROW_FIELDS = ("community_id", "size", "intra_edges", "intra_density",
 
 def cmd_quality(args):
     _check_out(args.out)
+    config = BackendConfig(backend=args.backend, num_workers=args.workers)
     with open(args.network, "rb") as fh:
         net = load_edge_list(fh)
     lists = _read_partition_lists(args.detected)
     dense = [net.to_dense(sorted(set(c))) for c in lists]
     partition = Partition(dense, net.node_count)
-    config = BackendConfig(backend=args.backend, num_workers=args.workers)
 
     report, timing = run_intrinsic_metrics(net, partition, config)
     print(_timing_line("intrinsic", timing), file=sys.stderr)
@@ -224,12 +224,13 @@ def cmd_quality(args):
 
 def cmd_bench(args):
     from .bench import (
-        GeneratorParams, ScalingResult, StudyError, generate_network,
-        perturb_partition, run_scaling_study,
+        GeneratorParams, ScalingResult, StudyError, check_study_options,
+        generate_network, perturb_partition, run_scaling_study,
     )
 
     _check_out(args.out)
-    counts = [int(tok) for tok in args.workers.split(",") if tok.strip()]
+    counts = check_study_options(
+        [int(tok) for tok in args.workers.split(",") if tok.strip()], args.reps)
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
         max_degree=args.max_degree, mixing=args.mixing, seed=args.seed)

@@ -455,14 +455,6 @@ class NodeCommunityMap:
         self.comm_of = comm_of
         self.universe_size = int(universe_size)
 
-    @property
-    def covered_count(self):
-        return int(np.count_nonzero(self.comm_of >= 0))
-
-    @property
-    def covers_universe(self):
-        return self.covered_count == self.universe_size
-
     def covered_nodes(self):
         return np.flatnonzero(self.comm_of >= 0)
 
@@ -540,10 +532,6 @@ class Partition:
         return int(self.members.size)
 
     @property
-    def covers_universe(self):
-        return self.covered_count == self.universe_size
-
-    @property
     def label_space(self):
         return int(self.members.max()) + 1
 
@@ -605,15 +593,6 @@ def parse_community_lines(stream):
     ids, sizes = _read_ids(stream)
     flat = iter(ids.tolist())
     return [list(itertools.islice(flat, n)) for n in sizes.tolist()]
-
-
-def load_communities(stream, universe_size):
-    """Parse a community file into a :class:`Partition`.
-
-    Community ids follow line order.  A node listed on two different lines is
-    an :class:`OverlapError`.
-    """
-    return Partition(parse_community_lines(stream), universe_size)
 
 
 # ---------------------------------------------------------------------------

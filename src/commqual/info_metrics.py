@@ -1,8 +1,12 @@
 """Information-theoretic comparison of two partitions (VI and NMI).
 
-Both metrics are evaluated from a sparse contingency table of community
-overlaps.  Logarithms are natural, so VI is reported in nats; use
-:func:`nats_to_bits` for a base-2 reading.
+The module owns the family's partial and finish: :func:`info_partial`
+reduces a row slice of the sparse contingency table of community overlaps
+to per-row VI and MI sums, and :func:`info_finish` turns the merged sums
+and the marginals into VI and NMI.  :func:`~commqual.engine.run_info_metrics`
+runs the two on every backend; its ``seq`` run is the one-worker call.
+Logarithms are natural, so VI is reported in nats; use :func:`nats_to_bits`
+for a base-2 reading.
 """
 
 from __future__ import annotations
@@ -50,11 +54,6 @@ class ContingencyTable:
     @property
     def total(self):
         return int(self.counts.sum())
-
-    def cells(self):
-        """Dict view {(row, col): count}, for small tables and tests."""
-        return {(int(r), int(c)): int(n)
-                for r, c, n in zip(self.rows, self.cols, self.counts)}
 
 
 def _row_sums(table, terms):
@@ -112,18 +111,6 @@ def info_finish(rows, row_sizes, col_sizes, universe_size):
     # 0.0 - x rather than -x: a zero VI sum must print as 0, not -0
     return InfoMetrics(vi=0.0 - float(rows[0].sum()) / n,
                        nmi=1.0 if h == 0.0 else 2.0 * float(rows[1].sum()) / h)
-
-
-def variation_of_information(table):
-    """VI(C, C') in nats; see :func:`info_finish`."""
-    return info_finish(info_partial(table), table.row_sizes, table.col_sizes,
-                       table.universe_size).vi
-
-
-def normalized_mutual_information(table):
-    """NMI(C, C'); see :func:`info_finish`."""
-    return info_finish(info_partial(table), table.row_sizes, table.col_sizes,
-                       table.universe_size).nmi
 
 
 def nats_to_bits(value):

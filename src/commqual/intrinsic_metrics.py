@@ -13,8 +13,9 @@ element by element, so a worker that runs the kernel on communities
 does.  The module owns the family's partial and finish:
 :func:`intrinsic_partial` is one worker's community ids with their terms and
 edge counts, and :func:`intrinsic_finish` places the partials' columns by
-community id and reduces them.  :func:`intrinsic_report` is the one-worker
-call of the two, which every engine backend repeats at its worker count.
+community id and reduces them.
+:func:`~commqual.engine.run_intrinsic_metrics` runs the two on every
+backend; its ``seq`` run is the one-worker call.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class StatsTable:
     ``size``, ``in_edges``, ``out_edges`` and ``unassigned_edges`` are int64
     arrays aligned with ``ids``.  Cell ``t`` says that the community at
     position ``ci[t]`` shares ``cnt[t]`` edges with community id ``cj[t]``;
-    cells are sorted by ``(ci, cj)``.  ``len``, indexing and iteration give
-    :class:`CommunityStats` objects, built on demand.
+    cells are sorted by ``(ci, cj)``.  ``len`` counts the communities, and
+    iteration gives their :class:`CommunityStats` objects, built on demand.
     """
 
     ids: np.ndarray
@@ -67,19 +68,6 @@ class StatsTable:
 
     def __len__(self):
         return self.ids.size
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        lo, hi = np.searchsorted(self.ci, (i, i + 1)).tolist()
-        return CommunityStats(
-            community_id=int(self.ids[i]),
-            size=int(self.size[i]),
-            in_edges=int(self.in_edges[i]),
-            out_edges=int(self.out_edges[i]),
-            neighbor_edges=dict(zip(self.cj[lo:hi].tolist(),
-                                    self.cnt[lo:hi].tolist())),
-            unassigned_edges=int(self.unassigned_edges[i]),
-        )
 
     def __iter__(self):
         bounds = np.searchsorted(self.ci, np.arange(len(self) + 1)).tolist()
@@ -232,17 +220,13 @@ def modularity_terms(stats, total_edges):
         (2 * stats.in_edges + stats.out_edges) / (2 * m))
 
 
-def modularity(stats, total_edges):
-    """Q = sum_c [ in_c/m - ((2 in_c + out_c) / 2m)^2 ], summed exactly
-    rounded so the result does not depend on how communities are grouped."""
-    return math.fsum(modularity_terms(stats, total_edges))
-
-
-def modularity_density_terms(stats, total_edges, sizes=None):
-    """Per-community terms of :func:`modularity_density`, in ``stats`` order.
-
-    Each community's split penalties are subtracted one neighbour at a time
-    in ascending neighbour id order.
+def modularity_density_terms(stats, total_edges, sizes):
+    """Per-community terms of the modularity density Qds, in ``stats`` order:
+    the modularity term weighted by internal pair density (0 for a
+    single-node community), less, per neighbour, the shared edge fraction
+    times the cross-pair density.  ``sizes`` is indexed by community id, as
+    ``Partition.sizes`` is.  Each community's split penalties are subtracted
+    one neighbour at a time in ascending neighbour id order.
     """
     if total_edges <= 0:
         raise ValueError("network has no edges")
@@ -251,37 +235,9 @@ def modularity_density_terms(stats, total_edges, sizes=None):
     d_c = _internal_density(stats)
     terms = inn / m * d_c
     terms -= _squares((2 * inn + out) / (2 * m) * d_c)
-    d_cc = cnt / (stats.size[ci] * _size_of(stats, sizes).astype(np.float64))
+    d_cc = cnt / (stats.size[ci] * sizes[stats.cj].astype(np.float64))
     np.subtract.at(terms, ci, cnt / (2 * m) * d_cc)
     return terms
-
-
-def _size_of(t, sizes):
-    """Sizes of the neighbour ids ``t.cj``, from ``sizes`` (an array indexed
-    by community id) or, by default, from the table itself."""
-    if sizes is not None:
-        return np.asarray(sizes, dtype=np.int64)[t.cj]
-    lookup = np.full(max(t.ids.max(initial=-1), t.cj.max(initial=-1)) + 1, -1,
-                     dtype=np.int64)
-    lookup[t.ids] = t.size
-    found = lookup[t.cj]
-    if (found < 0).any():
-        raise KeyError(f"no size for neighbouring community {t.cj[found < 0][0]}")
-    return found
-
-
-def modularity_density(stats, total_edges, sizes=None):
-    """Density-weighted modularity with a split penalty.
-
-    Each community's term weighs the modularity contribution by its internal
-    pair density and subtracts, per neighboring community, the product of
-    shared edge fraction and cross-pair density.  ``sizes`` gives the size of
-    each community id (an array indexed by id, such as ``Partition.sizes``)
-    and is required when ``stats`` does not cover all communities;
-    single-node communities have internal density 0 by convention.  Terms are
-    summed exactly rounded, as in :func:`modularity`.
-    """
-    return math.fsum(modularity_density_terms(stats, total_edges, sizes))
 
 
 def community_measures(stats):
@@ -310,7 +266,7 @@ def intrinsic_partial(network, partition, num_workers=1, worker_id=0):
     table = community_stats(network, partition, ids)
     m = network.edge_count
     return {"ids": table.ids, "q": modularity_terms(table, m),
-            "qds": modularity_density_terms(table, m, sizes=partition.sizes),
+            "qds": modularity_density_terms(table, m, partition.sizes),
             "in": table.in_edges, "out": table.out_edges,
             "unassigned": table.unassigned_edges}
 
@@ -338,10 +294,3 @@ def intrinsic_finish(partials, network, partition):
                            qds=math.fsum(column("qds")),
                            total_edges=network.edge_count,
                            rows=community_measures(table))
-
-
-def intrinsic_report(network, partition):
-    """Q, Qds, and all per-community rows: the one-worker run of
-    :func:`intrinsic_partial` and :func:`intrinsic_finish`."""
-    return intrinsic_finish([intrinsic_partial(network, partition)], network,
-                            partition)

@@ -135,14 +135,6 @@ def pair_finish(a11, row_sizes, col_sizes, universe_size):
                       total - row_pairs - col_pairs + a11)
 
 
-def pair_counts_fast(table):
-    """Closed-form counts from the contingency table.  O(nonzero cells)."""
-    if table.total != table.universe_size:
-        raise ValueError("pair counting requires full universe coverage")
-    return pair_finish(pair_partial(table), table.row_sizes, table.col_sizes,
-                       table.universe_size)
-
-
 def rand_index(counts):
     """(a11 + a00) / total; agreement fraction over all pairs."""
     if counts.total <= 0:

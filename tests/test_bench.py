@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def test_generator_deterministic():
 def test_generator_structure():
     net, ground = generate_network(small_params())
     net.validate()
-    assert ground.covers_universe
+    assert ground.covered_count == ground.universe_size
     assert ground.universe_size == net.node_count == 3000
     lo, hi = 20, 50
     sizes = ground.sizes
@@ -105,7 +106,7 @@ def test_perturb_moves_expected_fraction():
     frac = np.count_nonzero(a != b) / a.size
     assert frac == pytest.approx(0.2, abs=0.02)
     assert len(moved) == len(ground)
-    assert moved.covers_universe
+    assert moved.covered_count == moved.universe_size
     assert moved.sizes.min() >= 1
     # deterministic
     again = perturb_partition(ground, 0.2, seed=9)
@@ -228,6 +229,26 @@ def test_study_compares_counts_exactly(study_inputs, monkeypatch):
     monkeypatch.setattr(bench, "_run_family", off_by_one)
     with pytest.raises(StudyError, match="baseline"):
         run_scaling_study("pair", "shm", [1, 2], ground=ground,
+                          detected=detected, repetitions=1)
+
+
+def test_study_compares_floats_exactly(study_inputs, monkeypatch):
+    # every backend and worker count gives the same floats bit for bit, so a
+    # one-ulp drift aborts the study too
+    net, ground, detected = study_inputs
+    calls = {"n": 0}
+    real = bench._run_family
+
+    def one_ulp(family, backend, workers, inputs, method):
+        values, timing = real(family, backend, workers, inputs, method)
+        calls["n"] += 1
+        if calls["n"] > 1:
+            values = (math.nextafter(values[0], math.inf),) + values[1:]
+        return values, timing
+
+    monkeypatch.setattr(bench, "_run_family", one_ulp)
+    with pytest.raises(StudyError, match="baseline"):
+        run_scaling_study("info", "shm", [1, 2], ground=ground,
                           detected=detected, repetitions=1)
 
 

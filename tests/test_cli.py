@@ -268,6 +268,47 @@ def test_bad_out_fails_before_generating(capsys, tmp_path, monkeypatch,
     assert line.startswith("error: ") and os.strerror(reason) in line
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--workers", "2,4"], "worker_counts must be ascending, unique, starting at 1"),
+    (["--reps", "0"], "repetitions must be at least 1"),
+], ids=["workers", "reps"])
+def test_bad_study_option_fails_before_generating(capsys, monkeypatch, argv,
+                                                  message):
+    import commqual.bench
+
+    def never(params):
+        raise AssertionError("generated a network despite a bad option")
+
+    monkeypatch.setattr(commqual.bench, "generate_network", never)
+    code, stdout, err = run_cli(capsys, "bench", "--nodes", "300", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["compare", "quality"])
+@pytest.mark.parametrize("backend", ["seq", "shm", "ring"])
+def test_bad_workers_fails_before_any_input_is_read(capsys, monkeypatch,
+                                                    t1_files, t2_files,
+                                                    command, backend):
+    import commqual.cli
+
+    def never(stream):
+        raise AssertionError("read an input despite a bad --workers")
+
+    monkeypatch.setattr(commqual.cli, "load_edge_list", never)
+    monkeypatch.setattr(commqual.cli, "parse_community_lines", never)
+    gt, det = t1_files
+    edges, cmty = t2_files
+    argv = {"compare": ["--ground-truth", gt, "--detected", det],
+            "quality": ["--network", edges, "--detected", cmty]}[command]
+    code, stdout, err = run_cli(capsys, command, *map(str, argv),
+                                "--backend", backend, "--workers", "0")
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines() == ["error: num_workers must be at least 1"]
+
+
 def test_quality_worker_that_cannot_start_exits_1(capsys, t2_files,
                                                   monkeypatch):
     # the second fork fails, as it would at the process limit

@@ -7,8 +7,8 @@ import pytest
 
 from commqual.graph import (
     _BLOCK, Network, OverlapError, ParseError, Partition, _dense_labels,
-    _scan_ids, _sorted_unique, build_contingency, load_communities,
-    load_edge_list, parse_community_lines, shard,
+    _scan_ids, _sorted_unique, build_contingency, load_edge_list,
+    parse_community_lines, shard,
 )
 from conftest import random_graph, random_partition
 from oracles import network_reference
@@ -299,17 +299,17 @@ def test_partition_validation():
     p = Partition([[2, 1], [5]], 6)
     assert p.communities[0].tolist() == [1, 2]  # sorted on construction
     assert p.sizes.tolist() == [2, 1]
-    assert not p.covers_universe
+    assert p.covered_count != p.universe_size
 
 
 def test_load_communities():
-    p = load_communities(io.StringIO("1 2 3\n4 5 6\n"), 6)
+    p = Partition(parse_community_lines(io.StringIO("1 2 3\n4 5 6\n")), 6)
     assert len(p) == 2
-    assert p.covers_universe
+    assert p.covered_count == p.universe_size
     with pytest.raises(OverlapError, match="node 2"):
-        load_communities(io.StringIO("1 2\n2 3\n"), 6)
+        Partition(parse_community_lines(io.StringIO("1 2\n2 3\n")), 6)
     with pytest.raises(ParseError):
-        load_communities(io.StringIO("1 a\n"), 6)
+        Partition(parse_community_lines(io.StringIO("1 a\n")), 6)
 
 
 # 50,000 good community lines, so a bad line lands at line 50,001
@@ -356,8 +356,8 @@ def test_node_map_roundtrip():
     back = Partition.from_node_map(p.node_map())
     assert back == p
     m = p.node_map()
-    assert m.covers_universe
-    assert m.covered_count == 300
+    assert m.covered_nodes().size == m.universe_size
+    assert m.covered_nodes().size == 300
 
 
 def test_shard_modulo_rule():
@@ -378,7 +378,8 @@ def test_shard_modulo_rule():
 
 def test_contingency_t1(t1_ground, t1_detected):
     t = build_contingency(t1_ground, t1_detected)
-    assert t.cells() == {(0, 0): 2, (0, 1): 1, (1, 1): 3}
+    cells = dict(zip(zip(t.rows.tolist(), t.cols.tolist()), t.counts.tolist()))
+    assert cells == {(0, 0): 2, (0, 1): 1, (1, 1): 3}
     assert t.row_sizes.tolist() == [3, 3]
     assert t.col_sizes.tolist() == [2, 4]
     assert t.total == 6

@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from commqual.graph import Partition, build_contingency
-from commqual.info_metrics import (
-    nats_to_bits, normalized_mutual_information, variation_of_information,
-)
+from commqual.engine import run_info_metrics
+from commqual.graph import Partition
+from commqual.info_metrics import nats_to_bits
 from conftest import (
     T1_EXPECTED, as_sets, make_partition, random_partition,
 )
 import oracles
 
 
+def info(ground, detected):
+    """The seq run's VI and NMI."""
+    return run_info_metrics(ground, detected)[0]
+
+
 def test_t1_pinned_values(t1_ground, t1_detected):
-    t = build_contingency(t1_ground, t1_detected)
-    assert variation_of_information(t) == pytest.approx(T1_EXPECTED["vi"], abs=1e-6)
-    assert normalized_mutual_information(t) == pytest.approx(T1_EXPECTED["nmi"], abs=1e-6)
+    t = info(t1_ground, t1_detected)
+    assert t.vi == pytest.approx(T1_EXPECTED["vi"], abs=1e-6)
+    assert t.nmi == pytest.approx(T1_EXPECTED["nmi"], abs=1e-6)
 
 
 def test_matches_reference_on_random_pairs():
@@ -25,60 +29,55 @@ def test_matches_reference_on_random_pairs():
         n = int(rng.integers(20, 300))
         p1 = random_partition(rng, n, int(rng.integers(2, 15)))
         p2 = random_partition(rng, n, int(rng.integers(2, 15)))
-        t = build_contingency(p1, p2)
+        t = info(p1, p2)
         g, d = as_sets(p1), as_sets(p2)
-        assert variation_of_information(t) == pytest.approx(
-            oracles.vi_reference(g, d, n), abs=1e-12)
-        assert normalized_mutual_information(t) == pytest.approx(
-            oracles.nmi_reference(g, d, n), abs=1e-12)
+        assert t.vi == pytest.approx(oracles.vi_reference(g, d, n), abs=1e-12)
+        assert t.nmi == pytest.approx(oracles.nmi_reference(g, d, n), abs=1e-12)
 
 
 def test_self_comparison():
     rng = np.random.default_rng(4)
     p = random_partition(rng, 250, 9)
-    t = build_contingency(p, p)
-    assert variation_of_information(t) == 0.0
-    assert normalized_mutual_information(t) == pytest.approx(1.0, abs=1e-12)
+    t = info(p, p)
+    assert t.vi == 0.0
+    assert t.nmi == pytest.approx(1.0, abs=1e-12)
 
 
 def test_closed_form_block_vs_singletons():
     n = 64
     block = make_partition([set(range(n))], n)
     singles = make_partition([{i} for i in range(n)], n)
-    t = build_contingency(block, singles)
-    assert variation_of_information(t) == pytest.approx(math.log(n), abs=1e-12)
+    t = info(block, singles)
+    assert t.vi == pytest.approx(math.log(n), abs=1e-12)
     # MI is zero here, so NMI collapses
-    assert normalized_mutual_information(t) == pytest.approx(0.0, abs=1e-12)
+    assert t.nmi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_symmetry():
     rng = np.random.default_rng(9)
     p1 = random_partition(rng, 120, 6)
     p2 = random_partition(rng, 120, 10)
-    t = build_contingency(p1, p2)
-    tt = build_contingency(p2, p1)
-    assert variation_of_information(t) == pytest.approx(
-        variation_of_information(tt), abs=1e-12)
-    assert normalized_mutual_information(t) == pytest.approx(
-        normalized_mutual_information(tt), abs=1e-12)
+    t = info(p1, p2)
+    tt = info(p2, p1)
+    assert t.vi == pytest.approx(tt.vi, abs=1e-12)
+    assert t.nmi == pytest.approx(tt.nmi, abs=1e-12)
 
 
 def test_degenerate_single_community_pair():
     p = Partition([list(range(10))], 10)
-    t = build_contingency(p, p)
-    assert normalized_mutual_information(t) == 1.0
-    assert variation_of_information(t) == 0.0
+    t = info(p, p)
+    assert t.nmi == 1.0
+    assert t.vi == 0.0
 
 
 def test_partial_coverage_uses_declared_universe():
     # half the universe unassigned on both sides
     p1 = Partition([[0, 1], [2, 3]], 8)
     p2 = Partition([[0, 2], [1, 3]], 8)
-    t = build_contingency(p1, p2)
+    t = info(p1, p2)
     g = [{0, 1}, {2, 3}]
     d = [{0, 2}, {1, 3}]
-    assert variation_of_information(t) == pytest.approx(
-        oracles.vi_reference(g, d, 8), abs=1e-12)
+    assert t.vi == pytest.approx(oracles.vi_reference(g, d, 8), abs=1e-12)
 
 
 def test_nats_to_bits():
@@ -91,5 +90,5 @@ def test_nmi_range():
     for _ in range(10):
         p1 = random_partition(rng, 100, 8)
         p2 = random_partition(rng, 100, 8)
-        v = normalized_mutual_information(build_contingency(p1, p2))
+        v = info(p1, p2).nmi
         assert -1e-12 <= v <= 1.0 + 1e-12

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from commqual.engine import run_intrinsic_metrics
 from commqual.graph import Partition
 from commqual.intrinsic_metrics import (
-    community_measures, community_stats, intrinsic_report, modularity,
-    modularity_density,
+    community_measures, community_stats, modularity_density_terms,
+    modularity_terms,
 )
 from conftest import T2_EXPECTED, random_graph, random_partition, t2_network, t2_partition
 
@@ -19,6 +22,11 @@ def dense_sets(partition):
     return [set(c.tolist()) for c in partition.communities]
 
 
+def report(net, part):
+    """The seq run's intrinsic report."""
+    return run_intrinsic_metrics(net, part)[0]
+
+
 @pytest.fixture
 def t2():
     net = t2_network()
@@ -27,7 +35,7 @@ def t2():
 
 def test_t2_pinned_aggregates(t2):
     net, part = t2
-    rep = intrinsic_report(net, part)
+    rep = report(net, part)
     assert rep.q == pytest.approx(T2_EXPECTED["q"], abs=1e-6)
     assert rep.qds == pytest.approx(T2_EXPECTED["qds"], abs=1e-6)
     assert rep.total_edges == 7
@@ -35,7 +43,7 @@ def test_t2_pinned_aggregates(t2):
 
 def test_t2_pinned_row(t2):
     net, part = t2
-    rows = intrinsic_report(net, part).rows
+    rows = report(net, part).rows
     r = rows[0]
     got = (r.intra_edges, r.intra_density, r.contraction,
            r.inter_edges, r.expansion, r.conductance)
@@ -64,9 +72,11 @@ def test_matches_reference_on_random_graphs():
             size, inn, out, nbrs = ref[s.community_id]
             assert (s.size, s.in_edges, s.out_edges) == (size, inn, out)
             assert s.neighbor_edges == dict(nbrs)
-        assert modularity(stats, net.edge_count) == pytest.approx(
+        q = math.fsum(modularity_terms(stats, net.edge_count))
+        qds = math.fsum(modularity_density_terms(stats, net.edge_count, part.sizes))
+        assert q == pytest.approx(
             oracles.modularity_reference(edges, comms), abs=1e-12)
-        assert modularity_density(stats, net.edge_count) == pytest.approx(
+        assert qds == pytest.approx(
             oracles.modularity_density_reference(edges, comms), abs=1e-12)
 
 
@@ -75,8 +85,8 @@ def test_subset_ids_match_full(t2):
     full = community_stats(net, part)
     only_second = community_stats(net, part, community_ids=[1])
     assert len(only_second) == 1
-    s = only_second[0]
-    f = full[1]
+    s = list(only_second)[0]
+    f = list(full)[1]
     assert (s.in_edges, s.out_edges, s.neighbor_edges) == (
         f.in_edges, f.out_edges, f.neighbor_edges)
 
@@ -94,7 +104,7 @@ def test_singleton_and_edgeless_conventions():
     assert rows[1].degenerate
     assert not rows[0].degenerate
     # singleton density convention also feeds Qds without blowing up
-    val = modularity_density(stats, net.edge_count)
+    val = math.fsum(modularity_density_terms(stats, net.edge_count, part.sizes))
     assert np.isfinite(val)
 
 
@@ -102,7 +112,7 @@ def test_unassigned_neighbors_flagged():
     from commqual.graph import Network
     net = Network.from_edge_array([0, 1], [1, 2], node_count=3)
     part = Partition([[0, 1]], 3)  # node 2 unassigned
-    s = community_stats(net, part)[0]
+    s = list(community_stats(net, part))[0]
     assert s.in_edges == 1
     assert s.out_edges == 1
     assert s.unassigned_edges == 1
@@ -111,7 +121,7 @@ def test_unassigned_neighbors_flagged():
 
 def test_modularity_requires_edges():
     with pytest.raises(ValueError):
-        modularity([], 0)
+        math.fsum(modularity_terms([], 0))
 
 
 def test_neighbor_size_lookup():
@@ -120,18 +130,19 @@ def test_neighbor_size_lookup():
     net = random_graph(rng, 80, 5)
     part = random_partition(rng, 80, 6)
     full_stats = community_stats(net, part)
-    whole = modularity_density(full_stats, net.edge_count)
+    whole = math.fsum(
+        modularity_density_terms(full_stats, net.edge_count, part.sizes))
     parts = sum(
-        modularity_density(
+        math.fsum(modularity_density_terms(
             community_stats(net, part, community_ids=[k]),
-            net.edge_count, sizes=part.sizes)
+            net.edge_count, part.sizes))
         for k in range(len(part)))
     assert parts == pytest.approx(whole, abs=1e-12)
 
 
 def test_report_means(t2):
     net, part = t2
-    rep = intrinsic_report(net, part)
+    rep = report(net, part)
     k = len(rep.rows)
     assert sum(r.intra_edges for r in rep.rows) / k == pytest.approx(3.0)
     assert (sum(r.conductance for r in rep.rows) / k
@@ -152,7 +163,7 @@ def test_modularity_matches_networkx(t2):
         g.add_nodes_from(range(net.node_count))
         g.add_edges_from(edge_set(net))
         want = nx.community.modularity(g, dense_sets(part))
-        assert intrinsic_report(net, part).q == pytest.approx(want, abs=1e-12)
+        assert report(net, part).q == pytest.approx(want, abs=1e-12)
 
 
 def test_terms_square_as_python_floats_do():

@@ -3,6 +3,8 @@ plain-Python oracles, its per-community terms against the same formulas
 evaluated one Python float at a time (bit for bit), and each worker shard
 ``p::w`` against the whole-partition terms (bit for bit)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import oracles  # noqa: E402
 from commqual.graph import Network, Partition  # noqa: E402
 from commqual.intrinsic_metrics import (  # noqa: E402
-    community_stats, intrinsic_partial, modularity, modularity_density,
-    modularity_density_terms, modularity_terms,
+    community_stats, intrinsic_partial, modularity_density_terms,
+    modularity_terms,
 )
 
 
@@ -76,11 +78,13 @@ def test_kernel_matches_oracles(case):
         assert s.neighbor_edges == dict(nbrs)
         assert s.unassigned_edges == out - sum(nbrs.values())
     q, qds = scalar_terms(ref, net.edge_count)
-    assert bits(modularity_terms(stats, net.edge_count)) == bits(q)
-    assert bits(modularity_density_terms(stats, net.edge_count)) == bits(qds)
-    assert modularity(stats, net.edge_count) == pytest.approx(
+    q_terms = modularity_terms(stats, net.edge_count)
+    qds_terms = modularity_density_terms(stats, net.edge_count, part.sizes)
+    assert bits(q_terms) == bits(q)
+    assert bits(qds_terms) == bits(qds)
+    assert math.fsum(q_terms) == pytest.approx(
         oracles.modularity_reference(edges, comms), abs=1e-12)
-    assert modularity_density(stats, net.edge_count) == pytest.approx(
+    assert math.fsum(qds_terms) == pytest.approx(
         oracles.modularity_density_reference(edges, comms), abs=1e-12)
 
 
@@ -91,7 +95,7 @@ def test_worker_shards_repeat_whole_partition_terms(case):
     m = net.edge_count
     whole = community_stats(net, part)
     want = {"q": modularity_terms(whole, m),
-            "qds": modularity_density_terms(whole, m),
+            "qds": modularity_density_terms(whole, m, part.sizes),
             "in": whole.in_edges, "out": whole.out_edges,
             "unassigned": whole.unassigned_edges}
     for w in (1, 2, 3):

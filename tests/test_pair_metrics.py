@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
-from commqual.graph import Partition, build_contingency
+from commqual.engine import run_pair_metrics
+from commqual.graph import Partition
 from commqual.pair_metrics import (
     DegenerateIndexError, PairCounts, adjusted_rand_index, jaccard_index,
-    pair_counts_bruteforce, pair_counts_fast, pair_counts_striped, rand_index,
+    pair_counts_bruteforce, pair_counts_striped, rand_index,
 )
 from conftest import T1_EXPECTED, as_sets, make_partition, random_partition
 import oracles
 
 
+def pair_counts(ground, detected):
+    """The seq run's pair counts."""
+    return run_pair_metrics(ground, detected)[0].counts
+
+
 def test_t1_pinned_values(t1_ground, t1_detected):
-    counts = pair_counts_fast(build_contingency(t1_ground, t1_detected))
+    counts = pair_counts(t1_ground, t1_detected)
     assert counts.as_tuple() == T1_EXPECTED["counts"]
     assert rand_index(counts) == pytest.approx(T1_EXPECTED["rand"], abs=1e-6)
     assert adjusted_rand_index(counts) == pytest.approx(T1_EXPECTED["ari"], abs=1e-6)
@@ -27,7 +33,7 @@ def test_counting_paths_agree():
         ref = oracles.pair_counts_reference(as_sets(p1), as_sets(p2))
         m1, m2 = p1.node_map(), p2.node_map()
         assert pair_counts_bruteforce(m1, m2).as_tuple() == ref
-        assert pair_counts_fast(build_contingency(p1, p2)).as_tuple() == ref
+        assert pair_counts(p1, p2).as_tuple() == ref
         assert pair_counts_striped(m1, m2).as_tuple() == ref
 
 
@@ -49,7 +55,7 @@ def test_striped_partials_sum_to_full():
 def test_identity_partitions():
     rng = np.random.default_rng(43)
     p = random_partition(rng, 180, 9)
-    counts = pair_counts_fast(build_contingency(p, p))
+    counts = pair_counts(p, p)
     assert counts.a10 == 0 and counts.a01 == 0
     assert rand_index(counts) == 1.0
     assert adjusted_rand_index(counts) == 1.0
@@ -60,7 +66,7 @@ def test_block_vs_singletons_extremes():
     n = 40
     block = make_partition([set(range(n))], n)
     singles = make_partition([{i} for i in range(n)], n)
-    counts = pair_counts_fast(build_contingency(block, singles))
+    counts = pair_counts(block, singles)
     assert counts.a11 == 0 and counts.a00 == 0
     assert rand_index(counts) == 0.0
     assert jaccard_index(counts) == 0.0
@@ -70,11 +76,11 @@ def test_block_vs_singletons_extremes():
 def test_degenerate_conventions():
     n = 12
     singles = make_partition([{i} for i in range(n)], n)
-    counts = pair_counts_fast(build_contingency(singles, singles))
+    counts = pair_counts(singles, singles)
     assert jaccard_index(counts) == 1.0
     assert adjusted_rand_index(counts) == 1.0
     block = make_partition([set(range(n))], n)
-    counts = pair_counts_fast(build_contingency(block, block))
+    counts = pair_counts(block, block)
     assert adjusted_rand_index(counts) == 1.0
     # a zero denominator with disagreements present cannot arise from valid
     # counts (it implies a10 == a01 == 0); the guard still rejects corrupt input
@@ -88,7 +94,7 @@ def test_requires_full_coverage():
     with pytest.raises(ValueError, match="coverage"):
         pair_counts_bruteforce(p1.node_map(), p2.node_map())
     with pytest.raises(ValueError, match="coverage"):
-        pair_counts_fast(build_contingency(p1, p2))
+        pair_counts(p1, p2)
 
 
 def test_mismatched_cover_sets():
@@ -104,7 +110,7 @@ def test_independent_labelings_near_zero_ari():
     for _ in range(40):
         p1 = random_partition(rng, 300, 10)
         p2 = random_partition(rng, 300, 10)
-        vals.append(adjusted_rand_index(pair_counts_fast(build_contingency(p1, p2))))
+        vals.append(adjusted_rand_index(pair_counts(p1, p2)))
     assert abs(float(np.mean(vals))) < 0.02
 
 
@@ -112,7 +118,7 @@ def test_reference_indices_agree():
     rng = np.random.default_rng(45)
     p1 = random_partition(rng, 90, 6)
     p2 = random_partition(rng, 90, 4)
-    counts = pair_counts_fast(build_contingency(p1, p2))
+    counts = pair_counts(p1, p2)
     g, d = as_sets(p1), as_sets(p2)
     assert rand_index(counts) == pytest.approx(oracles.rand_reference(g, d, 90), abs=1e-12)
     assert adjusted_rand_index(counts) == pytest.approx(
