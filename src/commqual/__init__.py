@@ -14,22 +14,21 @@ _EXPORTS = {
         "Partition", "PartitionShard", "build_contingency", "load_edge_list",
         "parse_community_lines", "shard",
     ),
-    "info_metrics": ("ContingencyTable", "nats_to_bits"),
-    "matching_metrics": ("MatchMaxima", "f_measure", "nvd"),
+    "info_metrics": ("ContingencyTable", "InfoMetrics", "nats_to_bits"),
+    "matching_metrics": ("MatchMaxima", "MatchingMetrics", "f_measure", "nvd"),
     "pair_metrics": (
-        "DegenerateIndexError", "PairCounts", "adjusted_rand_index",
-        "jaccard_index", "pair_counts_bruteforce", "pair_counts_striped",
-        "rand_index",
+        "DegenerateIndexError", "PairCounts", "PairMetrics",
+        "adjusted_rand_index", "jaccard_index", "pair_counts_bruteforce",
+        "pair_counts_striped", "rand_index",
     ),
     "intrinsic_metrics": (
         "CommunityRow", "CommunityStats", "IntrinsicReport",
         "community_measures", "community_stats",
     ),
     "engine": (
-        "BackendConfig", "EngineError", "InfoMetrics", "MatchingMetrics",
-        "PairMetrics", "PhaseTiming", "RingMessage", "WorkerStats",
-        "run_info_metrics", "run_intrinsic_metrics", "run_matching_metrics",
-        "run_pair_metrics",
+        "BackendConfig", "EngineError", "PhaseTiming", "RingMessage",
+        "WorkerStats", "run_info_metrics", "run_intrinsic_metrics",
+        "run_matching_metrics", "run_pair_metrics",
     ),
     "bench": (
         "GeneratorParams", "ScalingResult", "StudyError", "StudyRow",

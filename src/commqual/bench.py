@@ -149,14 +149,19 @@ def generate_network(params):
     return net, ground
 
 
+def check_fraction(fraction):
+    """ValueError unless ``fraction`` lies in [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must lie in [0, 1]")
+
+
 def perturb_partition(partition, fraction, seed=0):
     """Move ``fraction`` of covered nodes to random other communities.
 
     Never empties a community, so the result is a valid partition with the
     same community ids.  Deterministic for a fixed seed.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    check_fraction(fraction)
     k = len(partition)
     node_map = partition.node_map()
     comm_of = node_map.comm_of.copy()

@@ -28,8 +28,8 @@ from .matching_metrics import MatchingMetrics
 from .pair_metrics import PairMetrics
 from .engine import BackendConfig, EngineError
 from .engine.runners import (
-    FAMILIES, run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
-    run_pair_metrics, shared_labels,
+    FAMILIES, check_pair_method, run_info_metrics, run_intrinsic_metrics,
+    run_matching_metrics, run_pair_metrics, shared_labels,
 )
 
 # text-report labels of the keys that do not print as themselves
@@ -224,13 +224,18 @@ def cmd_quality(args):
 
 def cmd_bench(args):
     from .bench import (
-        GeneratorParams, ScalingResult, StudyError, check_study_options,
-        generate_network, perturb_partition, run_scaling_study,
+        GeneratorParams, ScalingResult, StudyError, check_fraction,
+        check_study_options, generate_network, perturb_partition,
+        run_scaling_study,
     )
 
     _check_out(args.out)
     counts = check_study_options(
         [int(tok) for tok in args.workers.split(",") if tok.strip()], args.reps)
+    check_fraction(args.perturbation)
+    families = FAMILIES if args.family == "all" else (args.family,)
+    if "pair" in families:
+        check_pair_method(args.pair_method, args.backend)
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
         max_degree=args.max_degree, mixing=args.mixing, seed=args.seed)
@@ -243,7 +248,6 @@ def cmd_bench(args):
           f"communities={len(ground)} in {prep_s:.2f}s (excluded from timings)",
           file=sys.stderr)
 
-    families = FAMILIES if args.family == "all" else (args.family,)
     merged = ScalingResult()
     for family in families:
         print(f"running {family}/{args.backend} at workers {counts}",
@@ -289,9 +293,10 @@ def cmd_generate(args):
         for start in range(0, len(pairs), _WRITE_PAIRS):
             chunk = pairs[start:start + _WRITE_PAIRS]
             fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+    members, bounds = ground.members.tolist(), ground.offsets.tolist()
     with open(cmty_path, "w") as fh:
-        for members in ground.communities:
-            fh.write(" ".join(map(str, members.tolist())) + "\n")
+        for start, end in zip(bounds, bounds[1:]):
+            fh.write(" ".join(map(str, members[start:end])) + "\n")
 
     out_ends = int(community_stats(network, ground).out_edges.sum())
     mixing = out_ends / (2.0 * network.edge_count)

@@ -13,9 +13,6 @@ from .transport import (
     run_workers,
 )
 from .runners import (
-    InfoMetrics,
-    MatchingMetrics,
-    PairMetrics,
     run_info_metrics,
     run_intrinsic_metrics,
     run_matching_metrics,
@@ -26,7 +23,6 @@ __all__ = [
     "BACKENDS", "RING", "SEQ", "SHM",
     "BackendConfig", "EngineError", "PhaseTiming", "RingMessage",
     "WorkerStats", "run_workers",
-    "InfoMetrics", "MatchingMetrics", "PairMetrics",
     "run_info_metrics", "run_intrinsic_metrics",
     "run_matching_metrics", "run_pair_metrics",
 ]

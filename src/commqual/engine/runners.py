@@ -42,11 +42,8 @@ from functools import reduce
 import numpy as np
 
 from ..graph import build_contingency, rank_labels, scatter_labels, shard
-# InfoMetrics and MatchingMetrics are re-exported for the engine package
-from ..info_metrics import InfoMetrics, info_finish, info_partial  # noqa: F401
-from ..matching_metrics import (  # noqa: F401
-    MatchingMetrics, MatchMaxima, matching_finish,
-)
+from ..info_metrics import info_finish, info_partial
+from ..matching_metrics import MatchMaxima, matching_finish
 from ..pair_metrics import (
     PairMetrics, pair_counts_striped, pair_finish, pair_partial,
 )
@@ -124,6 +121,14 @@ def _pair_brute_worker(ctx, gmap, dmap):
                                stripe_id=ctx.worker_id)
 
 
+def check_pair_method(method, backend):
+    """ValueError unless ``backend`` runs the pair-counting ``method``."""
+    if method not in ("fast", "bruteforce"):
+        raise ValueError(f"unknown pair-counting method {method!r}")
+    if method == "bruteforce" and backend == RING:
+        raise ValueError("the ring backend has no brute-force mode")
+
+
 def run_pair_metrics(ground, detected, config=None, method="fast"):
     """Pair confusion counts and the Rand, adjusted Rand, Jaccard indices.
 
@@ -132,8 +137,7 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     """
     config = config or BackendConfig()
     ground, detected = shared_labels(ground, detected)
-    if method not in ("fast", "bruteforce"):
-        raise ValueError(f"unknown pair-counting method {method!r}")
+    check_pair_method(method, config.backend)
     # over one dense space 0..u-1 the node sets agree exactly when both
     # partitions cover all u labels
     u = max(ground.label_space, detected.label_space)
@@ -144,8 +148,6 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
         raise ValueError("pair counting requires full universe coverage")
 
     if method == "bruteforce":
-        if config.backend == RING:
-            raise ValueError("the ring backend has no brute-force mode")
         stripes, timing = run_workers(_pair_brute_worker,
                                       (ground.node_map(), detected.node_map()),
                                       config.num_workers)

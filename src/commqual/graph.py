@@ -166,9 +166,6 @@ class Network:
     def degrees(self):
         return np.diff(self.indptr)
 
-    def neighbors(self, v):
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
     def to_dense(self, labels):
         """Translate original node labels to dense ids (error on unknown)."""
         labels = np.asarray(labels, dtype=np.int64)
@@ -182,20 +179,6 @@ class Network:
             missing = labels[bad][0]
             raise ValueError(f"node {missing} not present in the network")
         return pos
-
-    def validate(self):
-        """Check structural invariants; raises AssertionError on violation."""
-        assert self.indptr.size == self.node_count + 1
-        assert self.indptr[0] == 0 and self.indptr[-1] == self.indices.size
-        assert self.indices.size == 2 * self.edge_count
-        if self.edge_count == 0:
-            return
-        src = np.repeat(np.arange(self.node_count), self.degrees())
-        assert not np.any(src == self.indices), "self loop present"
-        f = _sorted_unique(src * self.node_count + self.indices)
-        r = _sorted_unique(self.indices * self.node_count + src)
-        assert f.size == self.indices.size, "duplicate adjacency entry"
-        assert np.array_equal(f, r), "adjacency not symmetric"
 
 
 def load_edge_list(stream):
@@ -467,7 +450,7 @@ class Partition:
     input order (k-th line / k-th list) and a repeated node counts once.
     """
 
-    __slots__ = ("members", "offsets", "sizes", "universe_size", "_communities")
+    __slots__ = ("members", "offsets", "sizes", "universe_size")
 
     def __init__(self, communities, universe_size):
         comms = list(communities)
@@ -507,7 +490,6 @@ class Partition:
                              f"universe of {universe_size}")
         self.members, self.sizes, self.universe_size = members, sizes, universe_size
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self._communities = None
         return self
 
     def __len__(self):
@@ -522,10 +504,8 @@ class Partition:
 
     @property
     def communities(self):
-        """Sorted member array of each community, views into ``members``."""
-        if self._communities is None:
-            self._communities = np.split(self.members, self.offsets[1:-1])
-        return self._communities
+        """Sorted member array of each community, built on each call."""
+        return np.split(self.members, self.offsets[1:-1])
 
     @property
     def covered_count(self):

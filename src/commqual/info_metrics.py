@@ -51,10 +51,6 @@ class ContingencyTable:
     def num_cols(self):
         return self.col_sizes.size
 
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
 
 def _row_sums(table, terms):
     # accumulate per row, then across rows: keeps rounding independent of

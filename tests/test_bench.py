@@ -10,6 +10,7 @@ from commqual.bench import (
     generate_network, perturb_partition, run_scaling_study, speedup_efficiency,
 )
 from commqual.intrinsic_metrics import community_stats
+from oracles import network_reference
 
 
 def small_params(**kw):
@@ -40,7 +41,14 @@ def test_generator_deterministic():
 
 def test_generator_structure():
     net, ground = generate_network(small_params())
-    net.validate()
+    # the reference CSR of the canonical pairs: a self loop, a repeated or an
+    # unmirrored entry would differ, and a self loop per node keeps its
+    # labels at 0..n-1
+    loops = [(x, x) for x in range(net.node_count)]
+    ref = network_reference(edge_key(net) + loops)
+    assert net.indptr.tolist() == ref["indptr"]
+    assert net.indices.tolist() == ref["indices"]
+    assert net.edge_count == ref["edge_count"]
     assert ground.covered_count == ground.universe_size
     assert ground.universe_size == net.node_count == 3000
     lo, hi = 20, 50

@@ -271,7 +271,10 @@ def test_bad_out_fails_before_generating(capsys, tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv,message", [
     (["--workers", "2,4"], "worker_counts must be ascending, unique, starting at 1"),
     (["--reps", "0"], "repetitions must be at least 1"),
-], ids=["workers", "reps"])
+    (["--perturbation", "1.5"], "fraction must lie in [0, 1]"),
+    (["--backend", "ring", "--pair-method", "bruteforce"],
+     "the ring backend has no brute-force mode"),
+], ids=["workers", "reps", "perturbation", "ring-bruteforce"])
 def test_bad_study_option_fails_before_generating(capsys, monkeypatch, argv,
                                                   message):
     import commqual.bench
@@ -550,6 +553,15 @@ def test_bench_stdout_all_families(capsys):
     assert families == {"info", "matching", "pair", "intrinsic"}
 
 
+def test_bench_pair_method_binds_the_pair_family_alone(capsys):
+    # the ring has no brute-force pair count, but info never uses the method
+    code, out, _ = run_cli(capsys, "bench", "--family", "info", "--nodes",
+                           "300", "--backend", "ring", "--pair-method",
+                           "bruteforce", "--workers", "1,2", "--reps", "1")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 2
+
+
 def test_bench_rejects_bad_worker_list(capsys):
     code, _, err = run_cli(capsys, "bench", "--nodes", "1500",
                            "--workers", "2,4", "--reps", "1")
@@ -582,7 +594,8 @@ def test_generate_writes_the_per_edge_writers_bytes(capsys, tmp_path):
     network, ground = generate_network(GeneratorParams(node_count=20000, seed=7))
     edges = []
     for u in range(network.node_count):
-        edges += [f"{u} {v}\n" for v in network.neighbors(u).tolist() if u < v]
+        row = network.indices[network.indptr[u]:network.indptr[u + 1]]
+        edges += [f"{u} {v}\n" for v in row.tolist() if u < v]
     assert len(edges) > 1 << 16
     assert (tmp_path / "synth.edges").read_bytes() == "".join(edges).encode()
     lines = [" ".join(map(str, members.tolist())) + "\n"

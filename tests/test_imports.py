@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import commqual
 
 SRC = Path(commqual.__file__).resolve().parent.parent
@@ -43,11 +45,23 @@ def test_cli_import_leaves_bench_out():
     assert "commqual.bench" not in loaded
 
 
+@pytest.mark.parametrize("name,module", [
+    ("InfoMetrics", "info_metrics"),
+    ("MatchingMetrics", "matching_metrics"),
+    ("PairMetrics", "pair_metrics"),
+])
+def test_result_type_import_leaves_engine_out(name, module):
+    loaded = loaded_after(f"from commqual import {name}")
+    assert f"commqual.{module}" in loaded
+    assert "commqual.engine" not in loaded
+
+
 def test_every_top_level_name_resolves():
-    out = run_python(
-        "import commqual\n"
-        "print([n for n in commqual.__all__ if not hasattr(commqual, n)])")
-    assert out == "[]\n"
+    for package in ("commqual", "commqual.engine"):
+        out = run_python(
+            f"import {package} as package\n"
+            "print([n for n in package.__all__ if not hasattr(package, n)])")
+        assert out == "[]\n", package
 
 
 def test_unknown_top_level_name_raises():

@@ -97,7 +97,8 @@ def test_singleton_and_edgeless_conventions():
     net = Network.from_edge_array([0], [1], node_count=3)
     part = Partition([[0, 1], [2]], 3)
     stats = community_stats(net, part)
-    rows = community_measures(stats)
+    rows = community_measures(stats.ids, stats.size, stats.in_edges,
+                              stats.out_edges)
     assert rows[1].size == 1
     assert rows[1].intra_density == 0.0
     assert rows[1].conductance == 0.0

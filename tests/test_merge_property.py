@@ -69,7 +69,7 @@ def test_merged_row_slices_equal_the_whole_table(case, w):
 
     a11 = reduce(operator.add, [pair_partial(t) for t in slices])
     assert a11 == pair_partial(whole)
-    if whole.total == n:
+    if int(whole.counts.sum()) == n:
         counts = pair_finish(a11, ground.sizes, detected.sizes, n)
         if n == 1:  # no pairs: zero counts, and the indices are undefined
             assert counts.as_tuple() == (0, 0, 0, 0)
