@@ -11,7 +11,7 @@ reported measurement.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -212,7 +212,7 @@ class StudyRow:
     efficiency: float
 
 
-CSV_HEADER = "family,backend,workers,total_s,compute_s,message_s,speedup,efficiency"
+CSV_HEADER = ",".join(f.name for f in fields(StudyRow))
 
 
 @dataclass
@@ -226,12 +226,8 @@ class ScalingResult:
         """Write the schema'd CSV; ``out`` is a path or a writable object.
         Floats are written at full precision so the file round-trips."""
         lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                r.family, r.backend, str(r.workers),
-                repr(r.total_s), repr(r.compute_s), repr(r.message_s),
-                repr(r.speedup), repr(r.efficiency),
-            ]))
+        lines += [",".join(repr(v) if isinstance(v, float) else str(v)
+                           for v in astuple(r)) for r in self.rows]
         text = "\n".join(lines) + "\n"
         if hasattr(out, "write"):
             out.write(text)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import logging
 import os
 import stat
 import sys
@@ -207,8 +206,15 @@ def cmd_quality(args):
     config = BackendConfig(backend=args.backend, num_workers=args.workers)
     with open(args.network, "rb") as fh:
         net = load_edge_list(fh)
+    if net.self_loops_dropped:
+        print(f"WARNING dropped {net.self_loops_dropped} self loop(s)",
+              file=sys.stderr)
+    if net.duplicates_dropped:
+        print(f"WARNING dropped {net.duplicates_dropped} duplicate edge(s)",
+              file=sys.stderr)
     lists = _read_partition_lists(args.detected)
-    dense = [net.to_dense(sorted(set(c))) for c in lists]
+    # Partition sorts each community and drops a repeated node
+    dense = [net.to_dense(c) for c in lists]
     partition = Partition(dense, net.node_count)
 
     report, timing = run_intrinsic_metrics(net, partition, config)
@@ -309,8 +315,6 @@ def cmd_generate(args):
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr,
-                        format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import io
 import itertools
-import logging
 import warnings
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
@@ -34,19 +31,14 @@ class OverlapError(ValueError):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _sorted_unique(x):
-    """``np.unique(x)`` through one sort and a neighbour mask.
-
-    A plain ``np.unique`` takes a hash-based path on numpy 2.x that is tens of
-    times slower than sorting for large integer arrays; the result is the
-    same flattened, sorted array of distinct values.
-    """
-    return _distinct(np.sort(x, axis=None))
-
-
 def _distinct(s):
     """The distinct values of the sorted 1-D array ``s``; ``s`` itself when
-    no value repeats."""
+    no value repeats.
+
+    With ``np.sort`` first this is ``np.unique`` through one sort and a
+    neighbour mask: a plain ``np.unique`` takes a hash-based path on numpy
+    2.x that is tens of times slower than sorting for large integer arrays.
+    """
     keep = np.empty(s.size, dtype=bool)
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
@@ -167,7 +159,8 @@ class Network:
         return np.diff(self.indptr)
 
     def to_dense(self, labels):
-        """Translate original node labels to dense ids (error on unknown)."""
+        """Translate original node labels to dense ids; an unknown label
+        raises ``ValueError`` naming the smallest one."""
         labels = np.asarray(labels, dtype=np.int64)
         pos = np.searchsorted(self.orig_ids, labels)
         if self.orig_ids.size == 0:  # a network without nodes has none of them
@@ -176,7 +169,7 @@ class Network:
             pos_c = np.minimum(pos, self.orig_ids.size - 1)
             bad = (pos >= self.orig_ids.size) | (self.orig_ids[pos_c] != labels)
         if bad.any():
-            missing = labels[bad][0]
+            missing = labels[bad].min()
             raise ValueError(f"node {missing} not present in the network")
         return pos
 
@@ -187,23 +180,20 @@ def load_edge_list(stream):
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped; a ``#`` after data on the same line is an error.  Node ids must
     be non-negative integers that fit in int64.  Self loops and duplicate
-    edges are dropped with a warning.  Labels are compacted to dense ids in
-    label order, the sorted unique labels retained in ``orig_ids``: through a
-    presence mask and a lookup table when the largest label is below twice
-    the number of endpoints, by sorting otherwise.
+    edges are dropped and counted in the network's ``self_loops_dropped``
+    and ``duplicates_dropped``; nothing is logged.  Labels are compacted to
+    dense ids in label order, the sorted unique labels retained in
+    ``orig_ids``: through a presence mask and a lookup table when the
+    largest label is below twice the number of endpoints, by sorting
+    otherwise.
 
     ``stream`` is a binary or text file object, or any iterable of lines,
     read by :func:`_read_ids`.
     """
     edges, _ = _read_ids(stream, 2)
     edges, labels = _dense_labels(edges)
-    net = Network.from_edge_array(edges[:, 0], edges[:, 1], orig_ids=labels,
-                                  node_count=labels.size)
-    if net.self_loops_dropped:
-        logger.warning("dropped %d self loop(s)", net.self_loops_dropped)
-    if net.duplicates_dropped:
-        logger.warning("dropped %d duplicate edge(s)", net.duplicates_dropped)
-    return net
+    return Network.from_edge_array(edges[:, 0], edges[:, 1], orig_ids=labels,
+                                   node_count=labels.size)
 
 
 def _dense_labels(ids):
@@ -473,7 +463,7 @@ class Partition:
         # one sort of (community, label rank) orders each community and drops
         # a node repeated on its line; a label left in two places overlaps
         rank, labels = _dense_labels(flat)
-        key = _sorted_unique(comm * labels.size + rank)
+        key = _distinct(np.sort(comm * labels.size + rank))
         comm, rank = np.divmod(key, labels.size)
         if key.size != labels.size:
             node = int(labels[np.argmax(np.bincount(rank) > 1)])

@@ -52,36 +52,25 @@ class ContingencyTable:
         return self.col_sizes.size
 
 
-def _row_sums(table, terms):
-    # accumulate per row, then across rows: keeps rounding independent of
-    # how many cells a single large community contributes, and lets a row
-    # slice of the table reproduce its rows' sums exactly
-    partial = np.zeros(table.num_rows)
-    np.add.at(partial, table.rows, terms)
-    return partial
+def info_partial(table):
+    """Row 0: the per-row sums of the VI cell terms
+    n_ij log(n_ij^2 / (|c_i| |c'_j|)), row 1: the per-row sums of the MI
+    cell terms (n_ij/n) log(n n_ij / (|c_i| |c'_j|)), over every ground row.
 
-
-def vi_row_terms(table):
-    """Per-row sums of the VI cell terms n_ij log(n_ij^2 / (|c_i| |c'_j|))."""
-    ov = table.counts.astype(np.float64)
-    denom = table.row_sizes[table.rows] * table.col_sizes[table.cols]
-    return _row_sums(table, ov * np.log(ov * ov / denom))
-
-
-def mi_row_terms(table):
-    """Per-row sums of the MI cell terms (n_ij/n) log(n n_ij / (|c_i| |c'_j|))."""
+    Cells are summed per row first, then across rows by the finish: that
+    keeps rounding independent of how many cells a single large community
+    contributes, and lets a row slice of the table reproduce its rows' sums
+    exactly.  A row slice leaves the other rows at +0.0 (a sum that starts
+    from zeros is never -0.0), so the partials of disjoint slices merge
+    exactly by element-wise ``+``."""
     n = table.universe_size
     ov = table.counts.astype(np.float64)
     denom = table.row_sizes[table.rows] * table.col_sizes[table.cols]
-    return _row_sums(table, (ov / n) * np.log(ov * n / denom))
-
-
-def info_partial(table):
-    """Row 0: the per-row VI sums, row 1: the per-row MI sums, over every
-    ground row.  A row slice of the table leaves the other rows at +0.0 (a
-    sum that starts from zeros is never -0.0), so the partials of disjoint
-    slices merge exactly by element-wise ``+``."""
-    return np.stack((vi_row_terms(table), mi_row_terms(table)))
+    return np.stack([np.bincount(table.rows, weights=terms,
+                                 minlength=table.num_rows)
+                     for terms in (ov * np.log(ov * ov / denom),
+                                   (ov / n) * np.log(ov * n / denom))],
+                    dtype=np.float64)  # bincount of no cells gives ints
 
 
 def partition_entropy(sizes, universe_size):

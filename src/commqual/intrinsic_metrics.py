@@ -3,7 +3,7 @@ per-community structural measures.
 
 These need only the network and one partition (no ground truth).  The
 partition must live in the network's dense node-id space.  One kernel,
-:func:`stats_from_labels`, reads the CSR rows of the requested communities'
+:func:`community_stats`, reads the CSR rows of the requested communities'
 members in a few whole-array passes and returns a columnar
 :class:`StatsTable`: per-community size, internal, boundary and unassigned
 edge counts, plus the cross-community cells sorted by (community, neighbour).
@@ -114,42 +114,29 @@ class IntrinsicReport:
         return (self.q, self.qds, self.total_edges, self.community_count)
 
 
-def node_labels(network, partition):
-    """Dense node id -> community id over the whole network; -1 unassigned.
-    int32 whenever the community ids fit, which halves the kernel's per-edge
-    label arrays."""
+def community_stats(network, partition, community_ids=None):
+    """The :class:`StatsTable` of the given community ids (default all),
+    from one pass over the CSR rows of their members.
+
+    Every node of the network first gets its community id, -1 when
+    unassigned: int32 whenever the community ids fit, which halves the
+    kernel's per-edge label arrays.  The members' CSR rows are then gathered
+    community after community, so every community owns one contiguous run
+    of edge ends.  Per end, the neighbour's label is compared with the run's
+    own id; run sums give the internal and unassigned ends, and one sort of
+    ``position * n + label`` over the crossing ends gives the cells.  Cost
+    is proportional to the total degree of the communities requested.
+    """
     if partition.label_space > network.node_count:
         raise ValueError("partition references nodes beyond the network")
     dtype = np.int32 if len(partition) <= 2**31 - 1 else np.int64
     comm_of = np.full(network.node_count, -1, dtype=dtype)
-    comm_of[partition.members] = np.repeat(np.arange(len(partition)), partition.sizes)
-    return comm_of
-
-
-def community_stats(network, partition, community_ids=None):
-    """The :class:`StatsTable` of the given community ids (default all),
-    from one pass over the CSR rows of their members."""
-    comm_of = node_labels(network, partition)
+    comm_of[partition.members] = np.repeat(np.arange(len(partition)),
+                                           partition.sizes)
     if community_ids is None:
         community_ids = np.arange(len(partition))
-    return stats_from_labels(network, comm_of, community_ids,
-                             *partition.take(community_ids))
-
-
-def stats_from_labels(network, comm_of, community_ids, sizes, members):
-    """:class:`StatsTable` of each community ``community_ids[i]``, whose
-    members are the next ``sizes[i]`` entries of ``members``, given as dense
-    ids of ``network`` whose nodes carry the community ids ``comm_of``.
-
-    The members' CSR rows are gathered community after community, so every
-    community owns one contiguous run of edge ends.  Per end, the
-    neighbour's label is compared with the run's own id; run sums give the
-    internal and unassigned ends, and one sort of ``position * n + label``
-    over the crossing ends gives the cells.  Cost is proportional to the
-    total degree of the communities requested.
-    """
     ids = np.asarray(community_ids, dtype=np.int64).reshape(-1)
-    size = np.asarray(sizes, dtype=np.int64)
+    size, members = partition.take(ids)
     starts = network.indptr[members]
     ends = network.indptr[members + 1]
 

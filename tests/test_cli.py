@@ -400,6 +400,32 @@ def test_quality_text(capsys, t2_files):
     assert "intrinsic:" in err
 
 
+def test_quality_warns_of_dropped_edges_first(capsys, t2_files, tmp_path):
+    _, cmty = t2_files
+    edges = tmp_path / "dropped.edges"
+    edges.write_text("\n".join(f"{u} {v}" for u, v in T2_EDGES)
+                     + "\n3 3\n2 1\n")
+    code, out, err = run_cli(capsys, "quality", "--network", str(edges),
+                             "--detected", str(cmty))
+    assert code == 0
+    assert out == T2_QUALITY_TEXT_REPORT
+    assert err.splitlines()[:2] == ["WARNING dropped 1 self loop(s)",
+                                    "WARNING dropped 1 duplicate edge(s)"]
+
+
+def test_quality_self_loops_only(capsys, tmp_path):
+    edges = tmp_path / "loops.edges"
+    edges.write_text("1 1\n2 2\n")
+    cmty = tmp_path / "comm.cmty"
+    cmty.write_text("1 2\n")
+    code, out, err = run_cli(capsys, "quality", "--network", str(edges),
+                             "--detected", str(cmty))
+    assert code == 2
+    assert out == ""
+    assert err == ("WARNING dropped 2 self loop(s)\n"
+                   "error: network has no edges\n")
+
+
 def test_quality_csv(capsys, t2_files):
     edges, cmty = t2_files
     code, out, _ = run_cli(capsys, "quality", "--network", str(edges),

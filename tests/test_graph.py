@@ -7,7 +7,7 @@ import pytest
 
 from commqual.graph import (
     _BLOCK, Network, OverlapError, ParseError, Partition, _dense_labels,
-    _scan_ids, _sorted_unique, build_contingency, load_edge_list,
+    _distinct, _scan_ids, build_contingency, load_edge_list,
     parse_community_lines, shard,
 )
 from conftest import random_partition
@@ -27,6 +27,22 @@ def test_edge_list_drops_and_counts():
     assert net.self_loops_dropped == 1
     assert net.duplicates_dropped == 2
     assert net.edge_count == 2
+
+
+def test_edge_list_drops_log_nothing(caplog):
+    # the counts are the whole report; the CLI prints its own warnings
+    caplog.set_level("DEBUG")
+    # the block reader and the line parser alike
+    for stream in (io.BytesIO(b"1 1\n1 2\n2 1\n"), io.StringIO("1 1\n1 2\n2 1\n")):
+        net = load_edge_list(stream)
+        assert (net.self_loops_dropped, net.duplicates_dropped) == (1, 1)
+    assert caplog.records == []
+
+
+def test_to_dense_names_the_smallest_missing_label():
+    net = load_edge_list(io.StringIO("1 2\n"))
+    with pytest.raises(ValueError, match="^node 97 not present in the network$"):
+        net.to_dense([98, 1, 97])
 
 
 def test_edge_list_bytes_stream():
@@ -220,7 +236,7 @@ def test_sorted_unique_matches_np_unique():
     rng = np.random.default_rng(9)
     for x in (np.empty(0, dtype=np.int64), np.array([5]),
               rng.integers(-50, 50, size=(300, 2)), rng.integers(0, 10**12, 1000)):
-        got = _sorted_unique(x)
+        got = _distinct(np.sort(x, axis=None))
         assert got.dtype == x.dtype
         assert np.array_equal(got, np.unique(x))
 

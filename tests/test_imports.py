@@ -33,9 +33,15 @@ def test_graph_import_loads_graph_alone():
     assert loaded_after("import commqual.graph") == {"commqual", "commqual.graph"}
 
 
-def test_graph_import_leaves_dataclasses_out():
-    out = run_python("import sys\nimport commqual.graph\n"
-                     "print('dataclasses' in sys.modules)")
+@pytest.mark.parametrize("package,left_out", [
+    ("commqual.graph", "dataclasses"),
+    ("commqual.graph", "logging"),
+    # the library reports dropped edges as counts; nothing configures logging
+    ("commqual.cli", "logging"),
+])
+def test_import_leaves_module_out(package, left_out):
+    out = run_python(f"import sys\nimport {package}\n"
+                     f"print({left_out!r} in sys.modules)")
     assert out == "False\n"
 
 

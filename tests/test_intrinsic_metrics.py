@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from commqual.engine import run_intrinsic_metrics
-from commqual.graph import Partition
+from commqual.engine import BackendConfig, run_intrinsic_metrics
+from commqual.graph import Network, Partition
 from commqual.intrinsic_metrics import (
     community_measures, community_stats, modularity_density_terms,
     modularity_terms,
@@ -93,7 +93,6 @@ def test_subset_ids_match_full(t2):
 
 def test_singleton_and_edgeless_conventions():
     # path 0-1 plus isolated node 2; communities {0,1} and {2}
-    from commqual.graph import Network
     net = Network.from_edge_array([0], [1], node_count=3)
     part = Partition([[0, 1], [2]], 3)
     stats = community_stats(net, part)
@@ -110,7 +109,6 @@ def test_singleton_and_edgeless_conventions():
 
 
 def test_unassigned_neighbors_flagged():
-    from commqual.graph import Network
     net = Network.from_edge_array([0, 1], [1, 2], node_count=3)
     part = Partition([[0, 1]], 3)  # node 2 unassigned
     s = list(community_stats(net, part))[0]
@@ -118,6 +116,31 @@ def test_unassigned_neighbors_flagged():
     assert s.out_edges == 1
     assert s.unassigned_edges == 1
     assert s.neighbor_edges == {}
+
+
+_PATH = ([0, 1], [1, 2])  # the path 0-1-2
+_OUT_OF_RANGE = "partition references nodes beyond the network"
+
+
+@pytest.mark.parametrize("backend,workers", [("seq", 1), ("shm", 2), ("ring", 2)])
+@pytest.mark.parametrize("edges,communities,message", [
+    (_PATH, [[0, 1], [3]], _OUT_OF_RANGE),
+    (([0, 1], [0, 1]), [[0], [1]], "network has no edges"),  # loops only
+], ids=["node range", "no edges"])
+def test_intrinsic_input_rules_raise_before_any_worker(backend, workers, edges,
+                                                       communities, message):
+    # the runner checks both rules in the parent, so bad input is a
+    # ValueError and never a worker's EngineError
+    net = Network.from_edge_array(*edges)
+    part = Partition(communities, 4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_intrinsic_metrics(net, part, BackendConfig(backend, workers))
+
+
+def test_community_stats_checks_the_node_range():
+    net = Network.from_edge_array(*_PATH)
+    with pytest.raises(ValueError, match=f"^{_OUT_OF_RANGE}$"):
+        community_stats(net, Partition([[0, 1], [3]], 4))
 
 
 def test_modularity_requires_edges():
