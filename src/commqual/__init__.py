@@ -15,7 +15,7 @@ _EXPORTS = {
         "parse_community_lines", "shard",
     ),
     "info_metrics": ("ContingencyTable", "InfoMetrics", "nats_to_bits"),
-    "matching_metrics": ("MatchMaxima", "MatchingMetrics", "f_measure", "nvd"),
+    "matching_metrics": ("MatchingMetrics",),
     "pair_metrics": (
         "DegenerateIndexError", "PairCounts", "PairMetrics",
         "adjusted_rand_index", "jaccard_index", "pair_counts_bruteforce",

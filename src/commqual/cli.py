@@ -168,8 +168,9 @@ def cmd_compare(args):
     config = BackendConfig(backend=args.backend, num_workers=args.workers)
     ground_lists = _read_partition_lists(args.ground_truth)
     detected_lists = _read_partition_lists(args.detected)
-    max_id = max(max(c) for c in ground_lists + detected_lists)
-    universe = args.universe if args.universe is not None else max_id + 1
+    universe = args.universe
+    if universe is None:
+        universe = max(max(c) for c in ground_lists + detected_lists) + 1
     # one label space for the three families, ranked once
     ground, detected = shared_labels(Partition(ground_lists, universe),
                                      Partition(detected_lists, universe))

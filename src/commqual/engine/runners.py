@@ -2,34 +2,38 @@
 
 The runners only orchestrate: hand out shards, run the workers, merge their
 partial results and finish them; the metric modules own every formula.
-Every backend evaluates a family with the same worker code.  For the
-extrinsic families (info, matching, pair) worker p builds the contingency
-cells n_ij of its row slice of ground communities
+Every family follows one contract.  A worker's partial is a tuple of
+plain columns over every community, holding the merge identity outside
+the worker's shard (pair's is the one exact count a11); the parent merges
+the partials in worker order with one element-wise operation
+(:func:`merge_partials`); and the family's finish takes the merged partial
+and the runner's two inputs.
+
+For the extrinsic families (info, matching, pair) worker p builds the
+contingency cells n_ij of its row slice of ground communities
 (:func:`~commqual.graph.shard` decides which) with
 :func:`~commqual.graph.build_contingency` and reduces them to the family's
 partial: :func:`~commqual.info_metrics.info_partial`,
-:meth:`~commqual.matching_metrics.MatchMaxima.from_contingency` or
-:func:`~commqual.pair_metrics.pair_partial`.  ``seq`` is the one-worker run
-of that code, in process, whose single row slice is the whole table.  The
-backends differ only in the worker count and in where a worker's node ->
-detected label array comes from: ``seq`` and ``shm`` workers read the
-parent's (``shm`` copy-on-write), ``ring`` workers scatter their own
-detected shard and each shard received in one circulation of the ring.  The
-three comparison runners first move both partitions into one dense label
-space 0..u-1 (:func:`shared_labels`), so label-indexed arrays and ring
-messages scale with the u nodes covered, whatever the int64 ids.
-The intrinsic family runs
+:func:`~commqual.matching_metrics.matching_partial` or
+:func:`~commqual.pair_metrics.pair_partial`.  One row driver runs all three
+on every backend.  ``seq`` is the one-worker run of that code, in process,
+whose single row slice is the whole table.  The backends differ only in the
+worker count and in where a worker's node -> detected label array comes
+from: ``seq`` and ``shm`` workers read the parent's (``shm`` copy-on-write),
+``ring`` workers scatter their own detected shard and each shard received in
+one circulation of the ring.  The driver first moves both partitions into
+one dense label space 0..u-1 (:func:`shared_labels`), so label-indexed
+arrays and ring messages scale with the u nodes covered, whatever the int64
+ids.  The intrinsic family runs
 :func:`~commqual.intrinsic_metrics.intrinsic_partial` on its shard of
 communities of the shared network under every backend: the worker reads the
 CSR rows of its communities' members, builds no subgraph and sends no
 message, and ``seq`` is again the one-worker run.
 
-The parent merges the partials in worker order with the family's exact
-merge: per-row VI/MI sums are added element-wise (a row outside a worker's
-slice holds +0.0), maxima by element-wise max, pair counts as exact
-integers, and :func:`~commqual.intrinsic_metrics.intrinsic_finish` places
-the intrinsic columns by community id and sums the Q and Qds terms exactly
-rounded.  So float results are identical across backends and worker counts.
+The merges are exact: per-row VI/MI sums, pair counts and the intrinsic
+columns are added (+0.0 and 0 outside a shard, and no term is -0.0), and
+the best-match maxima are combined by element-wise max.  So float results
+are identical across backends and worker counts.
 
 All entry points return ``(result, PhaseTiming)``.
 """
@@ -43,7 +47,7 @@ import numpy as np
 
 from ..graph import build_contingency, rank_labels, scatter_labels, shard
 from ..info_metrics import info_finish, info_partial
-from ..matching_metrics import MatchMaxima, matching_finish
+from ..matching_metrics import matching_finish, matching_partial
 from ..pair_metrics import (
     PairMetrics, pair_counts_striped, pair_finish, pair_partial,
 )
@@ -89,31 +93,36 @@ def _row_worker(ctx, partial, ground, detected, detected_labels):
                                      ctx.num_workers, ctx.worker_id))
 
 
-def _run_rows(partial, merge, ground, detected, config):
-    """Run the row worker on every backend and merge its partials."""
+def merge_partials(op, partials):
+    """The workers' partials, each a sequence of columns, merged in worker
+    order by the element-wise ``op`` applied column by column:
+    ``operator.add`` for sums and counts, ``np.maximum`` for maxima."""
+    return reduce(lambda a, b: tuple(map(op, a, b)), partials)
+
+
+def _run_rows(partial, op, finish, ground, detected, config):
+    """``finish`` of the ``op``-merged ``partial`` of every worker's row
+    slice of the contingency table, on the backend of ``config``."""
+    config = config or BackendConfig()
+    ground, detected = shared_labels(ground, detected)
     ring = config.backend == RING
     labels = None if ring else detected.node_map().comm_of
     partials, timing = run_workers(_row_worker,
                                    (partial, ground, detected, labels),
                                    config.num_workers, ring=ring)
-    return reduce(merge, partials), timing
+    return finish(merge_partials(op, partials), ground, detected), timing
 
 
 def run_info_metrics(ground, detected, config=None):
     """VI and NMI of detected against ground truth."""
-    ground, detected = shared_labels(ground, detected)
-    rows, timing = _run_rows(info_partial, operator.add, ground, detected,
-                             config or BackendConfig())
-    return info_finish(rows, ground.sizes, detected.sizes,
-                       ground.universe_size), timing
+    return _run_rows(info_partial, operator.add, info_finish, ground,
+                     detected, config)
 
 
 def run_matching_metrics(ground, detected, config=None):
     """F-measure and normalized Van Dongen distance."""
-    ground, detected = shared_labels(ground, detected)
-    maxima, timing = _run_rows(MatchMaxima.from_contingency, MatchMaxima.merge,
-                               ground, detected, config or BackendConfig())
-    return matching_finish(maxima, ground.sizes, ground.universe_size), timing
+    return _run_rows(matching_partial, np.maximum, matching_finish, ground,
+                     detected, config)
 
 
 def _pair_brute_worker(ctx, gmap, dmap):
@@ -143,20 +152,16 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     u = max(ground.label_space, detected.label_space)
     if not ground.covered_count == detected.covered_count == u:
         raise ValueError("partitions cover different node sets")
-    n = ground.universe_size
-    if u != n:
+    if u != ground.universe_size:
         raise ValueError("pair counting requires full universe coverage")
 
-    if method == "bruteforce":
-        stripes, timing = run_workers(_pair_brute_worker,
-                                      (ground.node_map(), detected.node_map()),
-                                      config.num_workers)
-        counts = reduce(operator.add, stripes)
-    else:
-        a11, timing = _run_rows(pair_partial, operator.add, ground, detected,
-                                config)
-        counts = pair_finish(a11, ground.sizes, detected.sizes, n)
-    return PairMetrics.from_counts(counts), timing
+    if method == "fast":
+        return _run_rows(pair_partial, operator.add, pair_finish, ground,
+                         detected, config)
+    stripes, timing = run_workers(_pair_brute_worker,
+                                  (ground.node_map(), detected.node_map()),
+                                  config.num_workers)
+    return PairMetrics.from_counts(reduce(operator.add, stripes)), timing
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,8 @@ def run_intrinsic_metrics(network, partition, config=None):
     # the ring backend opens no circulation
     partials, timing = run_workers(_intrinsic_worker, (network, partition),
                                    config.num_workers)
-    return intrinsic_finish(partials, network, partition), timing
+    return intrinsic_finish(merge_partials(operator.add, partials), network,
+                            partition), timing
 
 
 # each family's runner, under the name the CLI and the scaling study use

@@ -104,15 +104,22 @@ class Network:
 
         Self loops and duplicate edges (either orientation) are dropped and
         counted.  ``orig_ids`` maps dense ids back to input labels; when
-        omitted the labels are the dense ids themselves.
+        omitted the labels are the dense ids themselves.  An id outside
+        ``[0, node_count)`` raises ``ValueError`` naming the first one, in
+        edge order.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
             raise ValueError("endpoint arrays differ in length")
+        top = int(max(u.max(initial=-1), v.max(initial=-1)))
         if node_count is None:
-            node_count = int(max(u.max(initial=-1), v.max(initial=-1)) + 1)
+            node_count = top + 1
         node_count = int(node_count)
+        if top >= node_count or min(u.min(initial=0), v.min(initial=0)) < 0:
+            ends = np.column_stack((u, v)).ravel()
+            bad = ends[np.argmax((ends < 0) | (ends >= node_count))]
+            raise ValueError(f"node id {bad} outside [0, {node_count})")
 
         # canonical orientation, then dedupe on the combined key; each array
         # below is built in place and dropped once used.  The key

@@ -79,8 +79,9 @@ def partition_entropy(sizes, universe_size):
     return -float(np.sum(p * np.log(p)))
 
 
-def info_finish(rows, row_sizes, col_sizes, universe_size):
-    """VI and NMI from the merged :func:`info_partial` and the marginals.
+def info_finish(rows, ground, detected):
+    """VI and NMI of ``detected`` against ``ground`` from the merged
+    :func:`info_partial`.
 
     VI(C, C') = -(1/n) sum_ij n_ij log(n_ij^2 / (|c_i| |c'_j|)); zero
     overlaps contribute nothing (0 log 0 = 0) and identical partitions give
@@ -89,10 +90,8 @@ def info_finish(rows, row_sizes, col_sizes, universe_size):
     vanish and the partitions are necessarily identical, which is defined
     as 1.0.
     """
-    n = universe_size
-    if n <= 0:
-        raise ValueError("empty universe")
-    h = partition_entropy(row_sizes, n) + partition_entropy(col_sizes, n)
+    n = ground.universe_size
+    h = partition_entropy(ground.sizes, n) + partition_entropy(detected.sizes, n)
     # 0.0 - x rather than -x: a zero VI sum must print as 0, not -0
     return InfoMetrics(vi=0.0 - float(rows[0].sum()) / n,
                        nmi=1.0 if h == 0.0 else 2.0 * float(rows[1].sum()) / h)

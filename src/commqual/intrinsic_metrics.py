@@ -11,9 +11,10 @@ Every metric below is an array expression over that table, evaluated
 element by element, so a worker that runs the kernel on communities
 ``p::w`` gets each community's terms bit for bit as the whole-partition run
 does.  The module owns the family's partial and finish:
-:func:`intrinsic_partial` is one worker's community ids with their terms and
-edge counts, and :func:`intrinsic_finish` places the partials' columns by
-community id and reduces them.
+:func:`intrinsic_partial` is one worker's terms and edge counts, as columns
+over every community that hold zeros outside its shard, so partials merge
+by element-wise ``+``, and :func:`intrinsic_finish` reduces the merged
+columns.
 :func:`~commqual.engine.run_intrinsic_metrics` runs the two on every
 backend; its ``seq`` run is the one-worker call.
 """
@@ -242,39 +243,37 @@ def community_measures(ids, size, in_edges, out_edges):
 
 
 def intrinsic_partial(network, partition, num_workers=1, worker_id=0):
-    """Worker ``worker_id``'s share of the intrinsic metrics: the ids of its
-    communities ``worker_id::num_workers`` (the modulo sharding of
-    :func:`~commqual.graph.shard`), with their Q and Qds
-    terms and their internal and boundary edge counts.  The
-    terms are those of the whole-partition table, bit for bit, because each
-    is computed element by element and Qds reads neighbour sizes from
-    ``partition.sizes``."""
+    """Worker ``worker_id``'s share of the intrinsic metrics, as the columns
+    ``(q, qds, in_edges, out_edges)`` over every community: the Q and Qds
+    terms and the internal and boundary edge counts of its communities
+    ``worker_id::num_workers`` (the modulo sharding of
+    :func:`~commqual.graph.shard`), and +0.0 or 0 at every other community,
+    so the partials of all workers merge by element-wise ``+``.  The terms
+    are those of the whole-partition table, bit for bit, because each is
+    computed element by element and Qds reads neighbour sizes from
+    ``partition.sizes``; no term is -0.0, so adding zeros keeps its bits."""
     # community_stats gathers the members, so only the ids are taken here
     ids = np.arange(worker_id, len(partition), num_workers, dtype=np.int64)
     table = community_stats(network, partition, ids)
     m = network.edge_count
-    return {"ids": table.ids, "q": modularity_terms(table, m),
-            "qds": modularity_density_terms(table, m, partition.sizes),
-            "in": table.in_edges, "out": table.out_edges}
+    partial = []
+    for values in (modularity_terms(table, m),
+                   modularity_density_terms(table, m, partition.sizes),
+                   table.in_edges, table.out_edges):
+        column = np.zeros(len(partition), dtype=values.dtype)
+        column[ids] = values
+        partial.append(column)
+    return tuple(partial)
 
 
-def intrinsic_finish(partials, network, partition):
-    """The :class:`IntrinsicReport` of :func:`intrinsic_partial` results
-    that together hold every community once.  Each column is placed by
-    community id, so the rows come out in id order however the communities
-    were sharded, and Q and Qds are exactly rounded sums (``math.fsum``), so
-    they do not depend on the grouping either."""
-    ids = np.concatenate([partial["ids"] for partial in partials])
-
-    def column(key):
-        values = np.concatenate([partial[key] for partial in partials])
-        placed = np.zeros(len(partition), dtype=values.dtype)
-        placed[ids] = values
-        return placed
-
-    return IntrinsicReport(q=math.fsum(column("q")),
-                           qds=math.fsum(column("qds")),
+def intrinsic_finish(merged, network, partition):
+    """The :class:`IntrinsicReport` of ``partition`` on ``network`` from the
+    merged :func:`intrinsic_partial`.  Q and Qds are exactly rounded sums
+    (``math.fsum``) of the terms, so they do not depend on how the
+    communities were sharded, and the rows come out in community id order."""
+    q, qds, in_edges, out_edges = merged
+    return IntrinsicReport(q=math.fsum(q), qds=math.fsum(qds),
                            total_edges=network.edge_count,
                            rows=community_measures(
                                np.arange(len(partition)), partition.sizes,
-                               column("in"), column("out")))
+                               in_edges, out_edges))

@@ -120,19 +120,23 @@ def pair_counts_striped(map1, map2, num_stripes=1, stripe_id=0):
 
 
 def pair_partial(table):
-    """a11 of a row slice: the pairs together in both partitions, exact.
-    Row slices partition the cells, so partials merge by ``+``."""
-    return choose2_sum(table.counts)
+    """``(a11,)`` of a row slice: the pairs together in both partitions,
+    exact.  Row slices partition the cells, so partials merge by ``+``."""
+    return (choose2_sum(table.counts),)
 
 
-def pair_finish(a11, row_sizes, col_sizes, universe_size):
-    """Counts from the merged a11 and the full marginals: the pairs together
-    in each partition are sums of binomial(x, 2) over community sizes, and
-    a00 is the complement."""
-    row_pairs, col_pairs = choose2_sum(row_sizes), choose2_sum(col_sizes)
-    total = universe_size * (universe_size - 1) // 2
-    return PairCounts(a11, row_pairs - a11, col_pairs - a11,
-                      total - row_pairs - col_pairs + a11)
+def pair_finish(merged, ground, detected):
+    """The :class:`PairMetrics` of ``detected`` against ``ground`` from the
+    merged :func:`pair_partial` ``(a11,)``: the pairs together in each
+    partition are sums of binomial(x, 2) over community sizes, and a00 is
+    the complement."""
+    (a11,) = merged
+    n = ground.universe_size
+    row_pairs, col_pairs = choose2_sum(ground.sizes), choose2_sum(detected.sizes)
+    total = n * (n - 1) // 2
+    return PairMetrics.from_counts(PairCounts(
+        a11, row_pairs - a11, col_pairs - a11,
+        total - row_pairs - col_pairs + a11))
 
 
 def rand_index(counts):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from commqual.bench import GeneratorParams, generate_network, perturb_partition
+from commqual import cli
 from commqual.cli import main
 from conftest import T1_DETECTED, T1_GROUND, T2_COMMUNITIES, T2_EDGES, fail_after
 
@@ -182,6 +183,25 @@ def test_compare_universe_inferred(capsys, t1_files):
     rows = parse_csv(out)
     assert rows["ri"] == "ERROR"
     assert float(rows["vi"]) > 0  # info family still reported
+
+
+def test_compare_given_universe_is_not_inferred(capsys, monkeypatch, t1_files):
+    # the max-id pass over the community lists runs only without --universe
+    calls = []
+
+    def counting_max(*args, **kwargs):
+        calls.append(args)
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "max", counting_max, raising=False)
+    gt, det = t1_files
+    argv = ["compare", "--ground-truth", str(gt), "--detected", str(det)]
+    code, _, err = run_cli(capsys, *argv, "--universe", "6")
+    assert code == 0 and err.startswith("universe=6 ")
+    assert calls == []
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1 and err.startswith("universe=7 ")
+    assert calls
 
 
 def test_compare_out_file(capsys, t1_files, tmp_path):

@@ -278,6 +278,19 @@ def test_from_edge_array_matches_reference():
         assert net.self_loops_dropped == int(np.count_nonzero(u == v))
 
 
+@pytest.mark.parametrize("u,v,node_count,bad", [
+    ([0, 0], [2, 1], 2, 2),    # kept as a neighbour of 0, edge (0, 2) lost
+    ([0, 1], [-1, 0], 2, -1),  # numpy's bincount error, not the id
+    ([0, 3], [9, 0], 2, 9),    # the first in edge order, u before v
+    ([5, 0], [0, -3], 2, 5),
+    ([0], [1], 0, 0),
+])
+def test_from_edge_array_rejects_ids_outside_node_count(u, v, node_count, bad):
+    with pytest.raises(ValueError,
+                       match=rf"^node id {bad} outside \[0, {node_count}\)$"):
+        Network.from_edge_array(u, v, node_count=node_count)
+
+
 def test_csr_invariants_random():
     # conftest.random_graph(rng, 200, 8), with its pairs kept for the reference
     rng = np.random.default_rng(7)

@@ -1,11 +1,13 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from commqual.engine import run_info_metrics
-from commqual.graph import Partition
-from commqual.info_metrics import nats_to_bits
+from commqual.engine.runners import merge_partials
+from commqual.graph import Partition, build_contingency
+from commqual.info_metrics import info_partial, nats_to_bits
 from conftest import (
     T1_EXPECTED, as_sets, make_partition, random_partition,
 )
@@ -78,6 +80,20 @@ def test_partial_coverage_uses_declared_universe():
     g = [{0, 1}, {2, 3}]
     d = [{0, 2}, {1, 3}]
     assert t.vi == pytest.approx(oracles.vi_reference(g, d, 8), abs=1e-12)
+
+
+def test_empty_shard_is_identity(t1_ground, t1_detected):
+    # worker 4 of 5 owns none of the two ground rows: no cells, +0.0 sums
+    table = build_contingency(t1_ground, t1_detected,
+                              t1_detected.node_map().comm_of, 5, 4)
+    assert table.counts.size == 0
+    empty = info_partial(table)
+    assert empty.dtype == np.float64
+    assert empty.view(np.int64).tolist() == [[0, 0], [0, 0]]
+    whole = info_partial(build_contingency(t1_ground, t1_detected))
+    for order in ([whole, empty], [empty, whole]):
+        assert (np.asarray(merge_partials(operator.add, order)).tobytes()
+                == whole.tobytes())
 
 
 def test_nats_to_bits():

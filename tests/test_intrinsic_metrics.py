@@ -1,13 +1,15 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from commqual.engine import BackendConfig, run_intrinsic_metrics
+from commqual.engine.runners import merge_partials
 from commqual.graph import Network, Partition
 from commqual.intrinsic_metrics import (
-    community_measures, community_stats, modularity_density_terms,
-    modularity_terms,
+    community_measures, community_stats, intrinsic_partial,
+    modularity_density_terms, modularity_terms,
 )
 from conftest import T2_EXPECTED, random_graph, random_partition, t2_network, t2_partition
 
@@ -53,6 +55,20 @@ def test_t2_pinned_row(t2):
     # symmetric fixture: second community matches the first
     r2 = rows[1]
     assert r2.intra_edges == r.intra_edges and r2.conductance == r.conductance
+
+
+def test_empty_shard_is_identity(t2):
+    # worker 2 of 3 owns neither of the two communities: zero columns
+    net, part = t2
+    empty = intrinsic_partial(net, part, 3, 2)
+    whole = intrinsic_partial(net, part)
+    assert [c.dtype for c in empty] == [np.float64, np.float64, np.int64,
+                                        np.int64]
+    assert [c.view(np.int64).tolist() for c in empty] == [[0, 0]] * 4
+    for order in ([whole, empty], [empty, whole]):
+        merged = merge_partials(operator.add, order)
+        for got, want in zip(merged, whole, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_matches_reference_on_random_graphs():

@@ -99,9 +99,17 @@ def test_worker_shards_repeat_whole_partition_terms(case):
             "in": whole.in_edges, "out": whole.out_edges}
     for w in (1, 2, 3):
         for p in range(w):
-            got = intrinsic_partial(net, part, w, p)
-            assert got["ids"].tolist() == list(range(len(part)))[p::w]
+            got = dict(zip(("q", "qds", "in", "out"),
+                           intrinsic_partial(net, part, w, p), strict=True))
+            # the worker's communities sit at their ids, p::w, and every
+            # other position holds the merge identity
+            outside = np.ones(len(part), dtype=bool)
+            outside[p::w] = False
             for key in ("q", "qds"):
-                assert bits(got[key]) == bits(want[key][p::w]), (key, w, p)
+                assert got[key].size == len(part), (key, w, p)
+                assert bits(got[key][p::w]) == bits(want[key][p::w]), (key, w, p)
+                assert bits(got[key][outside]) == [0] * int(outside.sum()), (key, w, p)
             for key in ("in", "out"):
-                assert got[key].tolist() == want[key][p::w].tolist(), (key, w, p)
+                assert got[key].dtype == np.int64, (key, w, p)
+                assert got[key][p::w].tolist() == want[key][p::w].tolist(), (key, w, p)
+                assert got[key][outside].tolist() == [0] * int(outside.sum()), (key, w, p)

@@ -7,7 +7,6 @@ intrinsic partials of the ``w`` community shards, finished together,
 against the seq run of ``run_intrinsic_metrics``."""
 
 import operator
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,15 +15,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from commqual.engine import (  # noqa: E402
-    run_info_metrics, run_intrinsic_metrics, run_pair_metrics,
+    run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
+    run_pair_metrics,
 )
+from commqual.engine.runners import merge_partials  # noqa: E402
 from commqual.graph import Network, Partition, build_contingency  # noqa: E402
 from commqual.info_metrics import info_finish, info_partial  # noqa: E402
 from commqual.intrinsic_metrics import (  # noqa: E402
     intrinsic_finish, intrinsic_partial,
 )
-from commqual.matching_metrics import MatchMaxima  # noqa: E402
-from commqual.pair_metrics import pair_finish, pair_partial  # noqa: E402
+from commqual.matching_metrics import (  # noqa: E402
+    matching_finish, matching_partial,
+)
+from commqual.pair_metrics import (  # noqa: E402
+    pair_counts_bruteforce, pair_finish, pair_partial,
+)
 
 
 def from_labels(labels):
@@ -55,28 +60,37 @@ def test_merged_row_slices_equal_the_whole_table(case, w):
     whole = build_contingency(ground, detected)
     slices = [build_contingency(ground, detected, None, w, p) for p in range(w)]
 
-    rows = reduce(operator.add, [info_partial(t) for t in slices])
+    rows = merge_partials(operator.add, [info_partial(t) for t in slices])
     assert bits(rows) == bits(info_partial(whole))
-    info = info_finish(rows, ground.sizes, detected.sizes, n)
+    info = info_finish(rows, ground, detected)
     seq = run_info_metrics(ground, detected)[0]
     assert (repr(info.vi), repr(info.nmi)) == (repr(seq.vi), repr(seq.nmi))
 
-    maxima = reduce(MatchMaxima.merge,
-                    [MatchMaxima.from_contingency(t) for t in slices])
-    want = MatchMaxima.from_contingency(whole)
-    for key in MatchMaxima.__slots__:
-        assert bits(getattr(maxima, key)) == bits(getattr(want, key)), key
+    maxima = merge_partials(np.maximum,
+                            [matching_partial(t) for t in slices])
+    want = matching_partial(whole)
+    for key, got, expected in zip(("max_normed", "max_t", "max_d"), maxima,
+                                  want, strict=True):
+        assert bits(got) == bits(expected), key
+    matching = matching_finish(maxima, ground, detected)
+    seq = run_matching_metrics(ground, detected)[0]
+    assert (repr(matching.f_measure), repr(matching.nvd)) == (
+        repr(seq.f_measure), repr(seq.nvd))
 
-    a11 = reduce(operator.add, [pair_partial(t) for t in slices])
+    a11 = merge_partials(operator.add, [pair_partial(t) for t in slices])
     assert a11 == pair_partial(whole)
     if int(whole.counts.sum()) == n:
-        counts = pair_finish(a11, ground.sizes, detected.sizes, n)
         if n == 1:  # no pairs: zero counts, and the indices are undefined
-            assert counts.as_tuple() == (0, 0, 0, 0)
+            assert a11 == (0,)
+            assert pair_counts_bruteforce(
+                ground.node_map(), detected.node_map()).as_tuple() == (0, 0, 0, 0)
+            with pytest.raises(ValueError, match="no node pairs"):
+                pair_finish(a11, ground, detected)
             with pytest.raises(ValueError, match="no node pairs"):
                 run_pair_metrics(ground, detected)
         else:
-            assert counts == run_pair_metrics(ground, detected)[0].counts
+            assert (pair_finish(a11, ground, detected)
+                    == run_pair_metrics(ground, detected)[0])
 
 
 @st.composite
@@ -97,8 +111,9 @@ def network_and_partition(draw):
 @given(network_and_partition(), st.sampled_from([1, 2, 3]))
 def test_intrinsic_shards_finish_as_the_library_call(case, w):
     net, part = case
-    got = intrinsic_finish([intrinsic_partial(net, part, w, p) for p in range(w)],
-                           net, part)
+    got = intrinsic_finish(merge_partials(
+        operator.add, [intrinsic_partial(net, part, w, p) for p in range(w)]),
+        net, part)
     want = run_intrinsic_metrics(net, part)[0]
     assert (repr(got.q), repr(got.qds)) == (repr(want.q), repr(want.qds))
     assert got.total_edges == want.total_edges

@@ -1,11 +1,14 @@
+import operator
+
 import numpy as np
 import pytest
 
 from commqual.engine import run_pair_metrics
-from commqual.graph import Partition
+from commqual.engine.runners import merge_partials
+from commqual.graph import Partition, build_contingency
 from commqual.pair_metrics import (
     DegenerateIndexError, PairCounts, adjusted_rand_index, jaccard_index,
-    pair_counts_bruteforce, pair_counts_striped, rand_index,
+    pair_counts_bruteforce, pair_counts_striped, pair_partial, rand_index,
 )
 from conftest import T1_EXPECTED, as_sets, make_partition, random_partition
 import oracles
@@ -50,6 +53,19 @@ def test_striped_partials_sum_to_full():
             total = total + p
         assert total == full
     assert full.total == 150 * 149 // 2
+
+
+def test_empty_shard_is_identity(t1_ground, t1_detected):
+    # worker 4 of 5 owns none of the two ground rows: no cells, a11 = 0
+    table = build_contingency(t1_ground, t1_detected,
+                              t1_detected.node_map().comm_of, 5, 4)
+    assert table.counts.size == 0
+    empty = pair_partial(table)
+    assert empty == (0,) and type(empty[0]) is int
+    whole = pair_partial(build_contingency(t1_ground, t1_detected))
+    assert whole == (T1_EXPECTED["counts"][0],)
+    for order in ([whole, empty], [empty, whole]):
+        assert merge_partials(operator.add, order) == whole
 
 
 def test_identity_partitions():
