@@ -19,7 +19,7 @@ _EXPORTS = {
     "pair_metrics": (
         "DegenerateIndexError", "PairCounts", "PairMetrics",
         "adjusted_rand_index", "jaccard_index", "pair_counts_bruteforce",
-        "pair_counts_striped", "rand_index",
+        "pair_stripe_partial", "rand_index",
     ),
     "intrinsic_metrics": (
         "CommunityRow", "CommunityStats", "IntrinsicReport",

@@ -27,8 +27,8 @@ from .matching_metrics import MatchingMetrics
 from .pair_metrics import PairMetrics
 from .engine import BackendConfig, EngineError
 from .engine.runners import (
-    FAMILIES, check_pair_method, run_info_metrics, run_intrinsic_metrics,
-    run_matching_metrics, run_pair_metrics, shared_labels,
+    FAMILIES, run_info_metrics, run_intrinsic_metrics, run_matching_metrics,
+    run_pair_metrics, shared_labels,
 )
 
 # text-report labels of the keys that do not print as themselves
@@ -241,8 +241,6 @@ def cmd_bench(args):
         [int(tok) for tok in args.workers.split(",") if tok.strip()], args.reps)
     check_fraction(args.perturbation)
     families = FAMILIES if args.family == "all" else (args.family,)
-    if "pair" in families:
-        check_pair_method(args.pair_method, args.backend)
     params = GeneratorParams(
         node_count=args.nodes, avg_degree=args.avg_degree,
         max_degree=args.max_degree, mixing=args.mixing, seed=args.seed)

@@ -24,11 +24,17 @@ from: ``seq`` and ``shm`` workers read the parent's (``shm`` copy-on-write),
 one circulation of the ring.  The driver first moves both partitions into
 one dense label space 0..u-1 (:func:`shared_labels`), so label-indexed
 arrays and ring messages scale with the u nodes covered, whatever the int64
-ids.  The intrinsic family runs
-:func:`~commqual.intrinsic_metrics.intrinsic_partial` on its shard of
-communities of the shared network under every backend: the worker reads the
-CSR rows of its communities' members, builds no subgraph and sends no
-message, and ``seq`` is again the one-worker run.
+ids.
+
+The intrinsic family and the brute-force pair method shard inputs that
+every worker reads from the parent, so under every backend their workers
+build no subgraph and send no message, and ``seq`` is again the one-worker
+run: :func:`~commqual.intrinsic_metrics.intrinsic_partial` takes its
+communities of the shared network and reads their members' CSR rows, and
+:func:`~commqual.pair_metrics.pair_stripe_partial` takes its stripe of the
+node pairs of the two label arrays.  The stripe's ``(a11,)`` is the fast
+method's partial, so both pair methods share the merge and
+:func:`~commqual.pair_metrics.pair_finish`.
 
 The merges are exact: per-row VI/MI sums, pair counts and the intrinsic
 columns are added (+0.0 and 0 outside a shard, and no term is -0.0), and
@@ -48,9 +54,7 @@ import numpy as np
 from ..graph import build_contingency, rank_labels, scatter_labels, shard
 from ..info_metrics import info_finish, info_partial
 from ..matching_metrics import matching_finish, matching_partial
-from ..pair_metrics import (
-    PairMetrics, pair_counts_striped, pair_finish, pair_partial,
-)
+from ..pair_metrics import pair_finish, pair_partial, pair_stripe_partial
 from ..intrinsic_metrics import intrinsic_finish, intrinsic_partial
 from .transport import RING, BackendConfig, run_workers
 
@@ -93,6 +97,12 @@ def _row_worker(ctx, partial, ground, detected, detected_labels):
                                      ctx.num_workers, ctx.worker_id))
 
 
+def _shard_worker(ctx, partial, *inputs):
+    """``partial`` of this worker's shard of ``inputs``, which every worker
+    reads from the parent."""
+    return partial(*inputs, ctx.num_workers, ctx.worker_id)
+
+
 def merge_partials(op, partials):
     """The workers' partials, each a sequence of columns, merged in worker
     order by the element-wise ``op`` applied column by column:
@@ -125,28 +135,16 @@ def run_matching_metrics(ground, detected, config=None):
                      detected, config)
 
 
-def _pair_brute_worker(ctx, gmap, dmap):
-    return pair_counts_striped(gmap, dmap, num_stripes=ctx.num_workers,
-                               stripe_id=ctx.worker_id)
-
-
-def check_pair_method(method, backend):
-    """ValueError unless ``backend`` runs the pair-counting ``method``."""
-    if method not in ("fast", "bruteforce"):
-        raise ValueError(f"unknown pair-counting method {method!r}")
-    if method == "bruteforce" and backend == RING:
-        raise ValueError("the ring backend has no brute-force mode")
-
-
 def run_pair_metrics(ground, detected, config=None, method="fast"):
     """Pair confusion counts and the Rand, adjusted Rand, Jaccard indices.
 
-    ``method="bruteforce"`` switches the seq and shm backends to the striped
-    all-pairs scan (the ring backend rejects it).
+    ``method="bruteforce"`` replaces the contingency rows by the striped
+    all-pairs scan on every backend; the ring sends nothing for it.
     """
+    if method not in ("fast", "bruteforce"):
+        raise ValueError(f"unknown pair-counting method {method!r}")
     config = config or BackendConfig()
     ground, detected = shared_labels(ground, detected)
-    check_pair_method(method, config.backend)
     # over one dense space 0..u-1 the node sets agree exactly when both
     # partitions cover all u labels
     u = max(ground.label_space, detected.label_space)
@@ -158,20 +156,16 @@ def run_pair_metrics(ground, detected, config=None, method="fast"):
     if method == "fast":
         return _run_rows(pair_partial, operator.add, pair_finish, ground,
                          detected, config)
-    stripes, timing = run_workers(_pair_brute_worker,
-                                  (ground.node_map(), detected.node_map()),
-                                  config.num_workers)
-    return PairMetrics.from_counts(reduce(operator.add, stripes)), timing
+    partials, timing = run_workers(
+        _shard_worker, (pair_stripe_partial, ground.node_map().comm_of,
+                        detected.node_map().comm_of), config.num_workers)
+    return pair_finish(merge_partials(operator.add, partials), ground,
+                       detected), timing
 
 
 # ---------------------------------------------------------------------------
 # Intrinsic family
 # ---------------------------------------------------------------------------
-
-
-def _intrinsic_worker(ctx, network, partition):
-    return intrinsic_partial(network, partition, ctx.num_workers,
-                             ctx.worker_id)
 
 
 def run_intrinsic_metrics(network, partition, config=None):
@@ -183,8 +177,9 @@ def run_intrinsic_metrics(network, partition, config=None):
         raise ValueError("network has no edges")
     # every worker reads the network it needs from the shared CSR, so even
     # the ring backend opens no circulation
-    partials, timing = run_workers(_intrinsic_worker, (network, partition),
-                                   config.num_workers)
+    partials, timing = run_workers(
+        _shard_worker, (intrinsic_partial, network, partition),
+        config.num_workers)
     return intrinsic_finish(merge_partials(operator.add, partials), network,
                             partition), timing
 

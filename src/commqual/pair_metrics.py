@@ -9,6 +9,11 @@ All three derive from the node-pair confusion counts
 
 over all n(n-1)/2 unordered pairs.  Counts are exact Python integers.
 Pair metrics require both partitions to cover the full universe.
+
+Both counting methods produce the same partial, the exact ``(a11,)`` of a
+share of the work, and share one finish (:func:`pair_finish`):
+:func:`pair_partial` sums binomial(x, 2) over a row slice of contingency
+cells, and :func:`pair_stripe_partial` scans a stripe of node pairs.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ class PairCounts:
     @property
     def total(self):
         return self.a11 + self.a10 + self.a01 + self.a00
-
-    def __add__(self, other):
-        return PairCounts(self.a11 + other.a11, self.a10 + other.a10,
-                          self.a01 + other.a01, self.a00 + other.a00)
 
     def as_tuple(self):
         return (self.a11, self.a10, self.a01, self.a00)
@@ -85,38 +86,19 @@ def pair_counts_bruteforce(map1, map2):
     return PairCounts(a11, a10, a01, a00)
 
 
-def pair_counts_striped(map1, map2, num_stripes=1, stripe_id=0):
-    """Row-striped pair scan: rows i with i % num_stripes == stripe_id, each
-    row comparing node i against all j > i (vectorized).
-
-    Summing the partial counts over all stripes reproduces the full counts
-    exactly.
-    """
-    if num_stripes <= 0:
-        raise ValueError("num_stripes must be positive")
-    if not 0 <= stripe_id < num_stripes:
-        raise ValueError("stripe_id out of range")
-    g, d = covered_labels(map1, map2)
-    n = g.size
-    width = int(d.max()) + 1 if n else 1
-    combo = g * width + d
+def pair_stripe_partial(ground_of, detected_of, num_stripes=1, stripe_id=0):
+    """``(a11,)`` of one stripe of the all-pairs scan, exact: rows i with
+    i % num_stripes == stripe_id, each comparing node i's (ground, detected)
+    labels against those of every node j > i (vectorized).  ``ground_of``
+    and ``detected_of`` are node -> community id arrays covering every node.
+    Stripes partition the node pairs, so partials merge by ``+`` into the
+    a11 of :func:`pair_partial`."""
+    width = int(detected_of.max()) + 1 if detected_of.size else 1
+    combo = ground_of * width + detected_of
     if combo.size and int(combo.max()) < 2**31:
         combo = combo.astype(np.int32)
-        g = g.astype(np.int32)
-        d = d.astype(np.int32)
-    a11 = a10 = a01 = a00 = 0
-    for i in range(stripe_id, n - 1, num_stripes):
-        tg = g[i + 1:]
-        td = d[i + 1:]
-        both = int(np.count_nonzero(combo[i + 1:] == combo[i]))
-        sg = int(np.count_nonzero(tg == g[i]))
-        sd = int(np.count_nonzero(td == d[i]))
-        rest = n - 1 - i
-        a11 += both
-        a10 += sg - both
-        a01 += sd - both
-        a00 += rest - sg - sd + both
-    return PairCounts(a11, a10, a01, a00)
+    return (sum(int(np.count_nonzero(combo[i + 1:] == combo[i]))
+                for i in range(stripe_id, combo.size - 1, num_stripes)),)
 
 
 def pair_partial(table):
@@ -127,16 +109,17 @@ def pair_partial(table):
 
 def pair_finish(merged, ground, detected):
     """The :class:`PairMetrics` of ``detected`` against ``ground`` from the
-    merged :func:`pair_partial` ``(a11,)``: the pairs together in each
+    merged ``(a11,)`` of either counting method: the pairs together in each
     partition are sums of binomial(x, 2) over community sizes, and a00 is
     the complement."""
     (a11,) = merged
     n = ground.universe_size
     row_pairs, col_pairs = choose2_sum(ground.sizes), choose2_sum(detected.sizes)
     total = n * (n - 1) // 2
-    return PairMetrics.from_counts(PairCounts(
-        a11, row_pairs - a11, col_pairs - a11,
-        total - row_pairs - col_pairs + a11))
+    counts = PairCounts(a11, row_pairs - a11, col_pairs - a11,
+                        total - row_pairs - col_pairs + a11)
+    return PairMetrics(counts, rand_index(counts),
+                       adjusted_rand_index(counts), jaccard_index(counts))
 
 
 def rand_index(counts):
@@ -189,9 +172,3 @@ class PairMetrics:
         then the Rand, adjusted Rand and Jaccard indices."""
         return self.counts.as_tuple() + (self.rand, self.adjusted_rand,
                                          self.jaccard)
-
-    @classmethod
-    def from_counts(cls, counts):
-        return cls(counts=counts, rand=rand_index(counts),
-                   adjusted_rand=adjusted_rand_index(counts),
-                   jaccard=jaccard_index(counts))

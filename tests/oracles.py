@@ -6,6 +6,7 @@ with the package, so agreement is meaningful evidence.
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 
 class OverlapError(ValueError):
@@ -104,6 +105,19 @@ def jaccard_reference(ground, detected):
     return a11 / (a11 + a10 + a01)
 
 
+def rand_exact(counts):
+    """The Rand index of the pair counts ``(a11, a10, a01, a00)``, exact."""
+    a11, a10, a01, a00 = counts
+    return Fraction(a11 + a00, a11 + a10 + a01 + a00)
+
+
+def jaccard_exact(counts):
+    """The Jaccard index of the pair counts ``(a11, a10, a01, a00)``, exact;
+    1 when no pair is together in either partition."""
+    a11, a10, a01, _a00 = counts
+    return Fraction(a11, a11 + a10 + a01) if a11 + a10 + a01 else Fraction(1)
+
+
 def graph_stats_reference(edges, communities):
     """Per-community (size, in, out, neighbor Counter) from an edge set."""
     of = {}
@@ -134,6 +148,16 @@ def modularity_reference(edges, communities):
     for size, inn, out, _ in stats.values():
         q += inn / m - ((2 * inn + out) / (2 * m)) ** 2
     return q
+
+
+def modularity_exact(edges, communities):
+    """Modularity from its integer form 4m^2 Q = sum over communities of
+    4m in_c - (2 in_c + out_c)^2, exact."""
+    m = len(edges)
+    stats = graph_stats_reference(edges, communities)
+    return Fraction(sum(4 * m * inn - (2 * inn + out) ** 2
+                        for _size, inn, out, _nbrs in stats.values()),
+                    4 * m * m)
 
 
 def modularity_density_reference(edges, communities):

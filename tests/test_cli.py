@@ -292,9 +292,7 @@ def test_bad_out_fails_before_generating(capsys, tmp_path, monkeypatch,
     (["--workers", "2,4"], "worker_counts must be ascending, unique, starting at 1"),
     (["--reps", "0"], "repetitions must be at least 1"),
     (["--perturbation", "1.5"], "fraction must lie in [0, 1]"),
-    (["--backend", "ring", "--pair-method", "bruteforce"],
-     "the ring backend has no brute-force mode"),
-], ids=["workers", "reps", "perturbation", "ring-bruteforce"])
+], ids=["workers", "reps", "perturbation"])
 def test_bad_study_option_fails_before_generating(capsys, monkeypatch, argv,
                                                   message):
     import commqual.bench
@@ -599,9 +597,11 @@ def test_bench_stdout_all_families(capsys):
     assert families == {"info", "matching", "pair", "intrinsic"}
 
 
-def test_bench_pair_method_binds_the_pair_family_alone(capsys):
-    # the ring has no brute-force pair count, but info never uses the method
-    code, out, _ = run_cli(capsys, "bench", "--family", "info", "--nodes",
+@pytest.mark.parametrize("family", ["info", "pair"])
+def test_bench_pair_method_binds_the_pair_family_alone(capsys, family):
+    # info never uses the pair-counting method, and the ring runs the
+    # brute-force scan as every other backend does
+    code, out, _ = run_cli(capsys, "bench", "--family", family, "--nodes",
                            "300", "--backend", "ring", "--pair-method",
                            "bruteforce", "--workers", "1,2", "--reps", "1")
     assert code == 0

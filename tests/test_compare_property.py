@@ -2,7 +2,7 @@
 the whole universe, run through the engine's worker code on ``seq`` (one
 worker, in process, no fork): swapping ground and detected, relabelling the
 nodes, into a dense or a sparse id space, and comparing a partition with
-itself."""
+itself; and the Rand and Jaccard indices against their exact values."""
 
 import math
 
@@ -15,6 +15,8 @@ from commqual.engine import (  # noqa: E402
     run_info_metrics, run_matching_metrics, run_pair_metrics,
 )
 from commqual.graph import Partition  # noqa: E402
+from conftest import as_sets  # noqa: E402
+import oracles  # noqa: E402
 
 
 def from_labels(labels, rename=None):
@@ -89,3 +91,17 @@ def test_self_match_identities_on_sparse_labels(case, step):
                           (pair.rand, 1.0), (pair.adjusted_rand, 1.0),
                           (pair.jaccard, 1.0)]:
         assert math.isclose(value, target, rel_tol=0.0, abs_tol=1e-12), value
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_universe())
+def test_single_rounding_indices_are_correctly_rounded(case):
+    # RI and JI are each one int/int division of exact counts, so the
+    # reported floats are the exact values rounded once, bit for bit
+    g_labels, d_labels, _perm = case
+    ground, detected = from_labels(g_labels), from_labels(d_labels)
+    _info, _matching, pair = compare(ground, detected)
+    counts = oracles.pair_counts_reference(as_sets(ground), as_sets(detected))
+    assert pair.counts.as_tuple() == counts
+    assert pair.rand.hex() == float(oracles.rand_exact(counts)).hex()
+    assert pair.jaccard.hex() == float(oracles.jaccard_exact(counts)).hex()

@@ -357,16 +357,45 @@ def test_parallel_matches_sequential(random_case, backend, workers):
 
 
 def test_pair_bruteforce_modes(random_case):
-    expected = random_case["pair"].counts
-    res, _ = run_pair_metrics(random_case["ground"], random_case["detected"],
-                              BackendConfig(), method="bruteforce")
-    assert res.counts == expected
-    res, _ = run_pair_metrics(random_case["ground"], random_case["detected"],
-                              cfg("shm", 3), method="bruteforce")
-    assert res.counts == expected
-    with pytest.raises(ValueError, match="brute"):
-        run_pair_metrics(random_case["ground"], random_case["detected"],
-                         cfg("ring", 2), method="bruteforce")
+    # the stripe scan shares pair_finish with the fast method, so the counts
+    # agree exactly and the indices bit for bit; every worker reads the
+    # parent's label arrays, so the ring sends nothing
+    fast = random_case["pair"]
+    for backend, workers in [("seq", 1), ("shm", 2), ("shm", 3),
+                             ("ring", 2), ("ring", 3)]:
+        res, timing = run_pair_metrics(
+            random_case["ground"], random_case["detected"],
+            cfg(backend, workers), method="bruteforce")
+        # repr tells every distinct float apart
+        assert repr(res.values()) == repr(fast.values()), (backend, workers)
+        if backend == "ring":
+            assert timing.total_message_bytes == 0, workers
+            assert timing.total_messages == 0, workers
+
+
+def test_unknown_pair_method_fails_at_the_parent_before_ranking(monkeypatch):
+    from commqual.engine import runners
+
+    calls = []
+    rank_labels = runners.rank_labels
+
+    def counted(*args):
+        calls.append(args)
+        return rank_labels(*args)
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran workers despite a bad method")
+
+    monkeypatch.setattr(runners, "rank_labels", counted)
+    monkeypatch.setattr(runners, "run_workers", never)
+    # sparse ids: this pair would be ranked before any worker runs
+    ground = Partition([[0, 10**9], [5]], 10**9 + 1)
+    detected = Partition([[0], [5, 10**9]], 10**9 + 1)
+    for backend, workers in [("seq", 1), ("shm", 2), ("ring", 2)]:
+        with pytest.raises(ValueError, match="unknown pair-counting method"):
+            run_pair_metrics(ground, detected, cfg(backend, workers),
+                             method="fastest")
+    assert calls == []
 
 
 def test_more_workers_than_communities(t1_ground, t1_detected):

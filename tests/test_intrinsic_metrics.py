@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,3 +218,25 @@ def test_terms_square_as_python_floats_do():
                      out_edges=13 * one, unassigned_edges=0 * one,
                      ci=empty, cj=empty, cnt=empty)
     assert modularity_terms(row, 41)[0] == 10 / 41 - x ** 2
+
+
+@pytest.mark.parametrize("mixing,sizes,perturbation", [
+    (0.3, (20, 50), 0.10),    # the fine-25k benchmark workload
+    (0.5, (200, 400), 0.30),  # the coarse-snap-25k benchmark workload
+], ids=["fine-25k", "coarse-snap-25k"])
+def test_modularity_within_one_ulp_of_exact(mixing, sizes, perturbation):
+    # Q sums one rounded term per community, so it is not exact, but on the
+    # seed-1 benchmark inputs it stays within one ulp of the integer form
+    import oracles
+    from commqual.bench import (
+        GeneratorParams, generate_network, perturb_partition,
+    )
+
+    net, ground = generate_network(GeneratorParams(
+        node_count=25000, mixing=mixing, community_size_range=sizes, seed=1))
+    detected = perturb_partition(ground, perturbation, seed=2)
+    exact = oracles.modularity_exact(edge_set(net), dense_sets(detected))
+    for backend, workers in [("seq", 1), ("shm", 3), ("ring", 3)]:
+        q = run_intrinsic_metrics(net, detected,
+                                  BackendConfig(backend, workers))[0].q
+        assert abs(Fraction(q) - exact) <= Fraction(math.ulp(q)), backend

@@ -3,12 +3,14 @@ import operator
 import numpy as np
 import pytest
 
-from commqual.engine import run_pair_metrics
+from commqual.bench import GeneratorParams, generate_network, perturb_partition
+from commqual.engine import BackendConfig, run_pair_metrics
 from commqual.engine.runners import merge_partials
 from commqual.graph import Partition, build_contingency
 from commqual.pair_metrics import (
     DegenerateIndexError, PairCounts, adjusted_rand_index, jaccard_index,
-    pair_counts_bruteforce, pair_counts_striped, pair_partial, rand_index,
+    pair_counts_bruteforce, pair_finish, pair_partial, pair_stripe_partial,
+    rand_index,
 )
 from conftest import T1_EXPECTED, as_sets, make_partition, random_partition
 import oracles
@@ -37,22 +39,29 @@ def test_counting_paths_agree():
         m1, m2 = p1.node_map(), p2.node_map()
         assert pair_counts_bruteforce(m1, m2).as_tuple() == ref
         assert pair_counts(p1, p2).as_tuple() == ref
-        assert pair_counts_striped(m1, m2).as_tuple() == ref
+        stripe = pair_stripe_partial(m1.comm_of, m2.comm_of)
+        assert pair_finish(stripe, p1, p2).counts.as_tuple() == ref
 
 
 def test_striped_partials_sum_to_full():
     rng = np.random.default_rng(42)
     p1 = random_partition(rng, 150, 8)
     p2 = random_partition(rng, 150, 5)
-    m1, m2 = p1.node_map(), p2.node_map()
-    full = pair_counts_bruteforce(m1, m2)
-    for w in (1, 2, 3, 5):
-        parts = [pair_counts_striped(m1, m2, w, i) for i in range(w)]
-        total = PairCounts(0, 0, 0, 0)
-        for p in parts:
-            total = total + p
-        assert total == full
-    assert full.total == 150 * 149 // 2
+    # one block on both sides puts every node pair in a11, so a stripe that
+    # skips any pair shows
+    block = make_partition([set(range(150))], 150)
+    for g, d in [(p1, p2), (block, block)]:
+        m1, m2 = g.node_map(), d.node_map()
+        full = pair_counts_bruteforce(m1, m2)
+        fast = pair_partial(build_contingency(g, d))
+        for w in (1, 2, 3, 5):
+            parts = [pair_stripe_partial(m1.comm_of, m2.comm_of, w, i)
+                     for i in range(w)]
+            assert all(type(a11) is int for a11, in parts)
+            merged = merge_partials(operator.add, parts)
+            assert merged == fast
+            assert pair_finish(merged, g, d).counts == full
+        assert full.total == 150 * 149 // 2
 
 
 def test_empty_shard_is_identity(t1_ground, t1_detected):
@@ -141,3 +150,20 @@ def test_reference_indices_agree():
         oracles.ari_reference(g, d, 90), abs=1e-12)
     assert jaccard_index(counts) == pytest.approx(
         oracles.jaccard_reference(g, d), abs=1e-12)
+
+
+def test_single_rounding_indices_on_a_planted_pair():
+    # RI and JI are each one int/int division of the exact counts, so every
+    # backend and both counting methods report the exact value rounded once
+    _net, ground = generate_network(GeneratorParams(node_count=3000, seed=11))
+    detected = perturb_partition(ground, 0.1, seed=5)
+    full = pair_counts_bruteforce(ground.node_map(), detected.node_map())
+    rand = float(oracles.rand_exact(full.as_tuple()))
+    jaccard = float(oracles.jaccard_exact(full.as_tuple()))
+    for backend, workers in [("seq", 1), ("shm", 3), ("ring", 3)]:
+        for method in ("fast", "bruteforce"):
+            res, _ = run_pair_metrics(ground, detected,
+                                      BackendConfig(backend, workers), method)
+            assert res.counts == full, (backend, method)
+            assert res.rand.hex() == rand.hex(), (backend, method)
+            assert res.jaccard.hex() == jaccard.hex(), (backend, method)
