@@ -18,8 +18,8 @@ _EXPORTS = {
     "matching_metrics": ("MatchingMetrics",),
     "pair_metrics": (
         "DegenerateIndexError", "PairCounts", "PairMetrics",
-        "adjusted_rand_index", "jaccard_index", "pair_counts_bruteforce",
-        "pair_stripe_partial", "rand_index",
+        "adjusted_rand_index", "jaccard_index", "pair_stripe_partial",
+        "rand_index",
     ),
     "intrinsic_metrics": (
         "CommunityRow", "CommunityStats", "IntrinsicReport",

@@ -289,15 +289,15 @@ def cmd_generate(args):
         seed=args.seed)
     network, ground = generate_network(params)
 
-    src = np.repeat(np.arange(network.node_count), network.degrees())
-    mask = src < network.indices
-    pairs = np.column_stack([src[mask], network.indices[mask]])
     with open(edges_path, "w") as fh:
-        # one formatted write per slice of pairs bounds the ints and text
-        # held at once
-        for start in range(0, len(pairs), _WRITE_PAIRS):
-            chunk = pairs[start:start + _WRITE_PAIRS]
-            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+        # one "u v" line per edge key u * n + v (u < v), in key order; one
+        # formatted write per slice of keys bounds the ints and text held
+        # at once
+        for start in range(0, network.edge_count, _WRITE_PAIRS):
+            pairs = np.divmod(network.edge_keys[start:start + _WRITE_PAIRS],
+                              network.node_count)
+            fh.write(("%d %d\n" * pairs[0].size)
+                     % tuple(np.column_stack(pairs).ravel().tolist()))
     members, bounds = ground.members.tolist(), ground.offsets.tolist()
     with open(cmty_path, "w") as fh:
         for start, end in zip(bounds, bounds[1:]):

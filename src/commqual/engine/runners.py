@@ -30,7 +30,7 @@ The intrinsic family and the brute-force pair method shard inputs that
 every worker reads from the parent, so under every backend their workers
 build no subgraph and send no message, and ``seq`` is again the one-worker
 run: :func:`~commqual.intrinsic_metrics.intrinsic_partial` takes its
-communities of the shared network and reads their members' CSR rows, and
+communities of the shared network and reads every edge key of it, and
 :func:`~commqual.pair_metrics.pair_stripe_partial` takes its stripe of the
 node pairs of the two label arrays.  The stripe's ``(a11,)`` is the fast
 method's partial, so both pair methods share the merge and
@@ -175,8 +175,8 @@ def run_intrinsic_metrics(network, partition, config=None):
         raise ValueError("partition references nodes beyond the network")
     if network.edge_count <= 0:
         raise ValueError("network has no edges")
-    # every worker reads the network it needs from the shared CSR, so even
-    # the ring backend opens no circulation
+    # every worker reads the shared network's edge keys, so even the ring
+    # backend opens no circulation
     partials, timing = run_workers(
         _shard_worker, (intrinsic_partial, network, partition),
         config.num_workers)

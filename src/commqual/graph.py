@@ -1,7 +1,8 @@
 """Graph and partition containers plus file ingestion.
 
-A :class:`Network` is an undirected, unweighted graph held in CSR form over
-dense internal node ids 0..n-1.  Input files may use arbitrary non-negative
+A :class:`Network` is an undirected, unweighted graph held as its sorted
+canonical edge keys over dense internal node ids 0..n-1, with a CSR
+adjacency built on first read.  Input files may use arbitrary non-negative
 integer labels; the original labels are kept in ``orig_ids`` so results can be
 reported in the caller's vocabulary.
 
@@ -71,32 +72,37 @@ def concat_ranges(starts, ends):
 
 
 class Network:
-    """Undirected unweighted graph in CSR adjacency form.
+    """Undirected unweighted graph over dense node ids 0..n-1.
 
-    ``indptr``/``indices`` follow the usual CSR convention: the neighbors of
-    dense node ``v`` are ``indices[indptr[v]:indptr[v+1]]``, sorted ascending.
-    Every edge appears in both endpoint rows; self loops are never stored.
+    ``edge_keys`` holds every edge once as its canonical key ``u * n + v``
+    with ``u < v``, sorted and distinct; self loops are never stored.
+    ``indptr``/``indices`` is the CSR adjacency: the neighbors of dense node
+    ``v`` are ``indices[indptr[v]:indptr[v+1]]``, sorted ascending, and every
+    edge appears in both endpoint rows.  A network built from edges holds the
+    keys alone and builds the CSR the first time either array is read; one
+    built from a CSR keeps it and derives the keys from it.
     """
 
-    __slots__ = (
-        "node_count",
-        "edge_count",
-        "indptr",
-        "indices",
-        "orig_ids",
-        "self_loops_dropped",
-        "duplicates_dropped",
-    )
+    __slots__ = ("node_count", "edge_count", "edge_keys", "orig_ids",
+                 "self_loops_dropped", "duplicates_dropped", "_csr")
 
     def __init__(self, node_count, edge_count, indptr, indices, orig_ids,
                  self_loops_dropped=0, duplicates_dropped=0):
-        self.node_count = int(node_count)
+        # rows in order and each row ascending, so the keys come out sorted
+        n = int(node_count)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        upper = rows < indices
+        self._set(n, rows[upper] * n + indices[upper], orig_ids,
+                  self_loops_dropped, duplicates_dropped, (indptr, indices))
         self.edge_count = int(edge_count)
-        self.indptr = indptr
-        self.indices = indices
-        self.orig_ids = orig_ids
+
+    def _set(self, node_count, edge_keys, orig_ids, self_loops_dropped,
+             duplicates_dropped, csr=None):
+        self.node_count, self.edge_count = int(node_count), edge_keys.size
+        self.edge_keys, self.orig_ids, self._csr = edge_keys, orig_ids, csr
         self.self_loops_dropped = int(self_loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
+        return self
 
     @classmethod
     def from_edge_array(cls, u, v, orig_ids=None, node_count=None):
@@ -120,47 +126,35 @@ class Network:
             ends = np.column_stack((u, v)).ravel()
             bad = ends[np.argmax((ends < 0) | (ends >= node_count))]
             raise ValueError(f"node id {bad} outside [0, {node_count})")
-
-        # canonical orientation, then dedupe on the combined key; each array
-        # below is built in place and dropped once used.  The key
-        # min * n + max is summed as min * (n - 1) + u + v, which needs no
-        # temporary
-        key = np.minimum(u, v)
-        key *= node_count - 1
-        key += u
-        key += v
-        loops = u == v
-        del u, v
-        self_loops = int(np.count_nonzero(loops))
-        key[loops] = _INT64_MAX  # a self loop sorts last and is cut off
-        del loops
-        key.sort()
-        uniq = _distinct(key[:key.size - self_loops])
-        duplicates = int(key.size - self_loops - uniq.size)
-        del key
-
-        # both orientations sorted by (row, column): rows in order, each
-        # row's neighbours ascending
-        m = uniq.size
-        both = np.empty(2 * m, dtype=np.int64)
-        low, high = both[:m], both[m:]
-        np.floor_divide(uniq, node_count, out=low)
-        np.remainder(uniq, node_count, out=high)
-        counts = np.bincount(low, minlength=node_count)
-        counts += np.bincount(high, minlength=node_count)
-        high *= node_count
-        high += low
-        low[:] = uniq
-        del uniq, low, high
-        both.sort()
-        indices = np.remainder(both, node_count, out=both)
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-
         if orig_ids is None:
             orig_ids = np.arange(node_count, dtype=np.int64)
-        return cls(node_count, m, indptr, indices, orig_ids,
-                   self_loops, duplicates)
+        return cls._from_keys(*_summed_keys(u, v, node_count), node_count,
+                              orig_ids)
+
+    @classmethod
+    def _from_keys(cls, key, self_loops, node_count, orig_ids):
+        """The network of :func:`_summed_keys`' result, sorted in place."""
+        key.sort()
+        edge_keys = _distinct(key[:key.size - self_loops])
+        return cls.__new__(cls)._set(node_count, edge_keys, orig_ids,
+                                     self_loops,
+                                     key.size - self_loops - edge_keys.size)
+
+    indptr = property(lambda self: self._adjacency()[0])
+    indices = property(lambda self: self._adjacency()[1])
+
+    def _adjacency(self):
+        """``(indptr, indices)``, built from the keys on the first call."""
+        if self._csr is None:
+            n, keys = self.node_count, self.edge_keys
+            low, high = np.divmod(keys, n)
+            # both orientations of every edge as row * n + column
+            both = np.concatenate((keys, high * n + low))
+            both.sort()
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
+            self._csr = (indptr, np.remainder(both, n, out=both))
+        return self._csr
 
     def degrees(self):
         return np.diff(self.indptr)
@@ -199,8 +193,22 @@ def load_edge_list(stream):
     """
     edges, _ = _read_ids(stream, 2)
     edges, labels = _dense_labels(edges)
-    return Network.from_edge_array(edges[:, 0], edges[:, 1], orig_ids=labels,
-                                   node_count=labels.size)
+    keys = _summed_keys(edges[:, 0], edges[:, 1], labels.size)
+    del edges  # the ranked ids go before the keys are sorted
+    return Network._from_keys(*keys, labels.size, labels)
+
+
+def _summed_keys(u, v, node_count):
+    """The key ``min * n + max`` of every edge, summed in place as ``min *
+    (n - 1) + u + v``, with a self loop's set to ``INT64_MAX`` so that it
+    sorts last; and the number of self loops."""
+    key = np.minimum(u, v)
+    key *= node_count - 1
+    key += u
+    key += v
+    loops = u == v
+    key[loops] = _INT64_MAX
+    return key, int(np.count_nonzero(loops))
 
 
 def _dense_labels(ids):
@@ -434,9 +442,6 @@ class NodeCommunityMap:
     def __init__(self, comm_of, universe_size):
         self.comm_of = comm_of
         self.universe_size = int(universe_size)
-
-    def covered_nodes(self):
-        return np.flatnonzero(self.comm_of >= 0)
 
 
 class Partition:

@@ -3,10 +3,11 @@ per-community structural measures.
 
 These need only the network and one partition (no ground truth).  The
 partition must live in the network's dense node-id space.  One kernel,
-:func:`community_stats`, reads the CSR rows of the requested communities'
-members in a few whole-array passes and returns a columnar
-:class:`StatsTable`: per-community size, internal, boundary and unassigned
-edge counts, plus the cross-community cells sorted by (community, neighbour).
+:func:`community_stats`, reads the network's edge keys in a few whole-array
+passes, a block of edges at a time, and returns a columnar
+:class:`StatsTable` of the requested communities: per-community size,
+internal, boundary and unassigned edge counts, plus the cross-community
+cells sorted by (community, neighbour).
 Every metric below is an array expression over that table, evaluated
 element by element, so a worker that runs the kernel on communities
 ``p::w`` gets each community's terms bit for bit as the whole-partition run
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .graph import concat_ranges
 
 
 @dataclass
@@ -115,71 +114,80 @@ class IntrinsicReport:
         return (self.q, self.qds, self.total_edges, self.community_count)
 
 
-def community_stats(network, partition, community_ids=None):
-    """The :class:`StatsTable` of the given community ids (default all),
-    from one pass over the CSR rows of their members.
+# edges per block of :func:`community_stats`: a block's largest temporaries
+# (64 KiB) stay below glibc's 128 KiB mmap threshold, so every block reuses
+# the same heap pages and a forked worker writes few pages of its own
+_EDGE_BLOCK = 1 << 13
 
-    Every node of the network first gets its community id, -1 when
-    unassigned: int32 whenever the community ids fit, which halves the
-    kernel's per-edge label arrays.  The members' CSR rows are then gathered
-    community after community, so every community owns one contiguous run
-    of edge ends.  Per end, the neighbour's label is compared with the run's
-    own id; run sums give the internal and unassigned ends, and one sort of
-    ``position * n + label`` over the crossing ends gives the cells.  Cost
-    is proportional to the total degree of the communities requested.
+
+def community_stats(network, partition, community_ids=None):
+    """The :class:`StatsTable` of the given distinct community ids (default
+    all), from one pass over the network's edge keys.
+
+    Every node gets its community id (k when unassigned) and every
+    community its position in ``community_ids`` (-1 when not asked for),
+    int32 whenever the ids fit.  Block by block, each key splits into its
+    endpoints, whose communities give the internal edges and the ends
+    facing an unassigned node; a crossing end with a position becomes the
+    key ``position * k + neighbour``, and one sort of those gives the
+    cells.  Cost follows the edge count whatever the communities asked for.
     """
     if partition.label_space > network.node_count:
         raise ValueError("partition references nodes beyond the network")
-    dtype = np.int32 if len(partition) <= 2**31 - 1 else np.int64
-    comm_of = np.full(network.node_count, -1, dtype=dtype)
-    comm_of[partition.members] = np.repeat(np.arange(len(partition)),
+    k = len(partition)
+    ids = np.arange(k) if community_ids is None else np.asarray(
+        community_ids, dtype=np.int64).reshape(-1)
+    label = np.int32 if k < 2**31 - 1 else np.int64
+    # an unassigned node's community is k, which has no position
+    comm_of = np.full(network.node_count, k, dtype=label)
+    comm_of[partition.members] = np.repeat(np.arange(k, dtype=label),
                                            partition.sizes)
-    if community_ids is None:
-        community_ids = np.arange(len(partition))
-    ids = np.asarray(community_ids, dtype=np.int64).reshape(-1)
-    size, members = partition.take(ids)
-    starts = network.indptr[members]
-    ends = network.indptr[members + 1]
+    pos_of = np.full(k + 1, -1, dtype=label)
+    pos_of[ids] = np.arange(ids.size, dtype=label)
+    if np.count_nonzero(pos_of[:k] >= 0) != ids.size:
+        raise ValueError("community ids repeat or lie outside the partition")
 
-    # edge ends of the community at position i: [run[i], run[i + 1])
-    row_end = np.zeros(members.size + 1, dtype=np.int64)
-    np.cumsum(ends - starts, out=row_end[1:])
-    run = row_end[np.concatenate(([0], np.cumsum(size)))]
-    total = np.diff(run)
+    n, keys = network.node_count, network.edge_keys
+    key_type = np.int32 if ids.size * k <= 2**31 - 1 else np.int64
+    # internal edges, and ends facing an unassigned node, by community
+    internal, unassigned = np.zeros((2, k + 1), dtype=np.int64)
+    crossing = []
+    for start in range(0, keys.size, _EDGE_BLOCK):
+        block = keys[start:start + _EDGE_BLOCK]
+        lo = block // n
+        a, c = comm_of.take(lo), comm_of.take(block - lo * n)
+        inside = a == c
+        np.add.at(internal, np.compress(inside, a), 1)
+        np.add.at(unassigned, np.compress(c == k, a), 1)
+        np.add.at(unassigned, np.compress(a == k, c), 1)
+        cross = ~inside & (a < k) & (c < k)
+        a, c = np.compress(cross, a), np.compress(cross, c)
+        for own, other in ((a, c), (c, a)):
+            # the crossing ends whose community has a position
+            pos = pos_of.take(own)
+            mine = pos >= 0
+            cell = np.compress(mine, pos).astype(key_type)
+            cell *= k
+            cell += np.compress(mine, other)
+            crossing.append(cell)
 
-    nbr = comm_of[network.indices[concat_ranges(starts, ends)]]
-    inside = nbr == np.repeat(ids.astype(comm_of.dtype), total)
-    in_ends = _run_sums(inside, run)
-    unassigned = _run_sums(nbr < 0, run)
-
-    cross = np.logical_not(inside, out=inside)
-    cross &= nbr >= 0
-    n = max(comm_of.size, 1)  # > every community id and every position
-    key_type = np.int32 if ids.size * n <= 2**31 - 1 else np.int64
-    key = np.repeat(np.arange(0, ids.size * n, n, dtype=key_type),
-                    total - in_ends - unassigned)
-    key += nbr[cross].astype(key_type, copy=False)
+    key = np.concatenate(crossing) if crossing else np.empty(0, key_type)
+    del crossing
     key.sort()
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
     starts_at = np.flatnonzero(first)
-    cnt = np.diff(np.append(starts_at, key.size))
-    ci, cj = np.divmod(key[starts_at].astype(np.int64), n)
-
-    return StatsTable(ids=ids, size=size, in_edges=in_ends // 2,
-                      out_edges=total - in_ends, unassigned_edges=unassigned,
-                      ci=ci, cj=cj, cnt=cnt)
-
-
-def _run_sums(flags, run):
-    """Number of true ``flags`` in each run ``[run[i], run[i + 1])``."""
-    out = np.zeros(run.size - 1, dtype=np.int64)
-    nonempty = run[1:] > run[:-1]
-    if nonempty.any():
-        out[nonempty] = np.add.reduceat(flags, run[:-1][nonempty],
-                                        dtype=np.int64)
-    return out
+    del first
+    cnt = np.diff(starts_at, append=key.size)
+    cell = key.take(starts_at)
+    del key, starts_at
+    ci, cj = (part.astype(np.int64) for part in np.divmod(cell, k))
+    out = unassigned[ids]
+    np.add.at(out, ci, cnt)
+    return StatsTable(ids=ids, size=partition.sizes[ids],
+                      in_edges=internal[ids], out_edges=out,
+                      unassigned_edges=unassigned[ids], ci=ci, cj=cj, cnt=cnt)
 
 
 def _squares(x):
@@ -252,7 +260,6 @@ def intrinsic_partial(network, partition, num_workers=1, worker_id=0):
     are those of the whole-partition table, bit for bit, because each is
     computed element by element and Qds reads neighbour sizes from
     ``partition.sizes``; no term is -0.0, so adding zeros keeps its bits."""
-    # community_stats gathers the members, so only the ids are taken here
     ids = np.arange(worker_id, len(partition), num_workers, dtype=np.int64)
     table = community_stats(network, partition, ids)
     m = network.edge_count

@@ -47,45 +47,6 @@ def choose2_sum(values):
     return int(sum(x * (x - 1) // 2 for x in values.tolist()))
 
 
-def covered_labels(map1, map2):
-    """Community labels of every node; both maps must cover the full universe.
-
-    Raises ValueError when the maps cover different node sets or leave part
-    of the universe unassigned.
-    """
-    c1 = map1.covered_nodes()
-    c2 = map2.covered_nodes()
-    if not np.array_equal(c1, c2):
-        raise ValueError("partitions cover different node sets")
-    if c1.size != map1.universe_size:
-        raise ValueError("pair counting requires full universe coverage")
-    return map1.comm_of[c1], map2.comm_of[c1]
-
-
-def pair_counts_bruteforce(map1, map2):
-    """Literal double loop over all unordered node pairs.  O(n^2); reference
-    implementation for small inputs."""
-    g, d = covered_labels(map1, map2)
-    gl, dl = g.tolist(), d.tolist()
-    n = len(gl)
-    a11 = a10 = a01 = a00 = 0
-    for i in range(n - 1):
-        gi, di = gl[i], dl[i]
-        for j in range(i + 1, n):
-            same_g = gl[j] == gi
-            same_d = dl[j] == di
-            if same_g:
-                if same_d:
-                    a11 += 1
-                else:
-                    a10 += 1
-            elif same_d:
-                a01 += 1
-            else:
-                a00 += 1
-    return PairCounts(a11, a10, a01, a00)
-
-
 def pair_stripe_partial(ground_of, detected_of, num_stripes=1, stripe_id=0):
     """``(a11,)`` of one stripe of the all-pairs scan, exact: rows i with
     i % num_stripes == stripe_id, each comparing node i's (ground, detected)

@@ -86,6 +86,44 @@ def pair_counts_reference(ground, detected):
     return a11, a10, a01, a00
 
 
+def covered_nodes(node_map):
+    """The nodes a :class:`~commqual.graph.NodeCommunityMap` assigns to a
+    community, ascending."""
+    return [v for v, c in enumerate(node_map.comm_of.tolist()) if c >= 0]
+
+
+def covered_labels(map1, map2):
+    """The two community labels of every node, in node order.  Raises
+    ValueError when the maps cover different node sets or leave part of the
+    universe unassigned."""
+    nodes = covered_nodes(map1)
+    if covered_nodes(map2) != nodes:
+        raise ValueError("partitions cover different node sets")
+    if len(nodes) != map1.universe_size:
+        raise ValueError("pair counting requires full universe coverage")
+    of1, of2 = map1.comm_of.tolist(), map2.comm_of.tolist()
+    return [of1[v] for v in nodes], [of2[v] for v in nodes]
+
+
+def pair_counts_bruteforce(map1, map2):
+    """``(a11, a10, a01, a00)`` of two node maps that cover the full
+    universe, by a literal double loop over all unordered node pairs."""
+    g, d = covered_labels(map1, map2)
+    a11 = a10 = a01 = a00 = 0
+    for i in range(len(g) - 1):
+        for j in range(i + 1, len(g)):
+            same_g, same_d = g[j] == g[i], d[j] == d[i]
+            if same_g and same_d:
+                a11 += 1
+            elif same_g:
+                a10 += 1
+            elif same_d:
+                a01 += 1
+            else:
+                a00 += 1
+    return a11, a10, a01, a00
+
+
 def rand_reference(ground, detected, n):
     a11, a10, a01, a00 = pair_counts_reference(ground, detected)
     return (a11 + a00) / (n * (n - 1) / 2)

@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -240,3 +241,32 @@ def test_modularity_within_one_ulp_of_exact(mixing, sizes, perturbation):
         q = run_intrinsic_metrics(net, detected,
                                   BackendConfig(backend, workers))[0].q
         assert abs(Fraction(q) - exact) <= Fraction(math.ulp(q)), backend
+
+
+def test_community_stats_temporaries_per_edge():
+    # the kernel reads the edge keys a block at a time, so beside the table
+    # it returns it holds a block's temporaries and one int32 cell key per
+    # crossing end: about 9 bytes an edge here.  Gathering every member's
+    # CSR row with its neighbours' labels took about 34
+    from commqual.bench import (
+        GeneratorParams, generate_network, perturb_partition,
+    )
+
+    net, ground = generate_network(
+        GeneratorParams(node_count=20000, mixing=0.5, seed=5))
+    detected = perturb_partition(ground, 0.1, seed=6)
+    tracemalloc.start()
+    try:
+        table = community_stats(net, detected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(column.nbytes for column in vars(table).values())
+    assert table.cnt.size > net.edge_count / 2  # the cells are no small part
+    assert peak - returned <= 16 * net.edge_count
+
+
+def test_community_stats_rejects_a_repeated_id(t2):
+    net, part = t2
+    with pytest.raises(ValueError, match="community ids repeat"):
+        community_stats(net, part, [1, 1])

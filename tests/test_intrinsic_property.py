@@ -1,7 +1,9 @@
 """The intrinsic kernel on random graphs and partitions against the
 plain-Python oracles, its per-community terms against the same formulas
-evaluated one Python float at a time (bit for bit), and each worker shard
-``p::w`` against the whole-partition terms (bit for bit)."""
+evaluated one Python float at a time (bit for bit), each worker shard
+``p::w`` against the whole-partition terms (bit for bit), and every column
+of each shard's stats table, by value and dtype, against the oracle's
+counts on networks built from raw edges and from a CSR."""
 
 import math
 
@@ -113,3 +115,60 @@ def test_worker_shards_repeat_whole_partition_terms(case):
                 assert got[key].dtype == np.int64, (key, w, p)
                 assert got[key][p::w].tolist() == want[key][p::w].tolist(), (key, w, p)
                 assert got[key][outside].tolist() == [0] * int(outside.sum()), (key, w, p)
+
+
+@st.composite
+def raw_graph_and_partition(draw):
+    """Node count, raw edge pairs (self loops, repeats in either
+    orientation, isolated nodes and no edges at all allowed) and a partition
+    whose nodes may be unassigned."""
+    n = draw(st.integers(1, 24))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    labels = draw(st.lists(st.integers(-1, 6), min_size=n, max_size=n))
+    if max(labels) < 0:
+        labels[0] = 0
+    used = sorted({x for x in labels if x >= 0})
+    communities = [[v for v in range(n) if labels[v] == c] for c in used]
+    return n, pairs, communities
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_graph_and_partition(), st.sampled_from(["edges", "csr"]))
+def test_stats_table_columns_match_oracle_on_every_shard(case, build):
+    n, pairs, communities = case
+    if build == "edges":
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        net = Network.from_edge_array(ends[:, 0], ends[:, 1], node_count=n)
+    else:
+        # a self loop at every node keeps the reference's labels at 0..n-1
+        ref = oracles.network_reference(pairs + [(x, x) for x in range(n)])
+        net = Network(n, ref["edge_count"],
+                      np.array(ref["indptr"], dtype=np.int64),
+                      np.array(ref["indices"], dtype=np.int64),
+                      np.arange(n, dtype=np.int64))
+    part = Partition(communities, n)
+    edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    ref = oracles.graph_stats_reference(edges, [set(c) for c in communities])
+    for w in (1, 2, 3):
+        for p in range(w):
+            ids = list(range(p, len(communities), w))
+            table = community_stats(net, part, np.array(ids, dtype=np.int64))
+            cells = [(i, j, cnt) for i, c in enumerate(ids)
+                     for j, cnt in sorted(ref[c][3].items())]
+            want = {
+                "ids": ids,
+                "size": [ref[c][0] for c in ids],
+                "in_edges": [ref[c][1] for c in ids],
+                "out_edges": [ref[c][2] for c in ids],
+                "unassigned_edges": [ref[c][2] - sum(ref[c][3].values())
+                                     for c in ids],
+                "ci": [i for i, _, _ in cells],
+                "cj": [j for _, j, _ in cells],
+                "cnt": [cnt for _, _, cnt in cells],
+            }
+            for name, values in want.items():
+                column = getattr(table, name)
+                assert column.dtype == np.int64, (name, w, p)
+                assert column.tolist() == values, (name, w, p)

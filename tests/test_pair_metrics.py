@@ -9,8 +9,7 @@ from commqual.engine.runners import merge_partials
 from commqual.graph import Partition, build_contingency
 from commqual.pair_metrics import (
     DegenerateIndexError, PairCounts, adjusted_rand_index, jaccard_index,
-    pair_counts_bruteforce, pair_finish, pair_partial, pair_stripe_partial,
-    rand_index,
+    pair_finish, pair_partial, pair_stripe_partial, rand_index,
 )
 from conftest import T1_EXPECTED, as_sets, make_partition, random_partition
 import oracles
@@ -37,7 +36,7 @@ def test_counting_paths_agree():
         p2 = random_partition(rng, n, int(rng.integers(2, 12)))
         ref = oracles.pair_counts_reference(as_sets(p1), as_sets(p2))
         m1, m2 = p1.node_map(), p2.node_map()
-        assert pair_counts_bruteforce(m1, m2).as_tuple() == ref
+        assert oracles.pair_counts_bruteforce(m1, m2) == ref
         assert pair_counts(p1, p2).as_tuple() == ref
         stripe = pair_stripe_partial(m1.comm_of, m2.comm_of)
         assert pair_finish(stripe, p1, p2).counts.as_tuple() == ref
@@ -52,7 +51,7 @@ def test_striped_partials_sum_to_full():
     block = make_partition([set(range(150))], 150)
     for g, d in [(p1, p2), (block, block)]:
         m1, m2 = g.node_map(), d.node_map()
-        full = pair_counts_bruteforce(m1, m2)
+        full = oracles.pair_counts_bruteforce(m1, m2)
         fast = pair_partial(build_contingency(g, d))
         for w in (1, 2, 3, 5):
             parts = [pair_stripe_partial(m1.comm_of, m2.comm_of, w, i)
@@ -60,8 +59,8 @@ def test_striped_partials_sum_to_full():
             assert all(type(a11) is int for a11, in parts)
             merged = merge_partials(operator.add, parts)
             assert merged == fast
-            assert pair_finish(merged, g, d).counts == full
-        assert full.total == 150 * 149 // 2
+            assert pair_finish(merged, g, d).counts.as_tuple() == full
+        assert sum(full) == 150 * 149 // 2
 
 
 def test_empty_shard_is_identity(t1_ground, t1_detected):
@@ -117,7 +116,7 @@ def test_requires_full_coverage():
     p1 = Partition([[0, 1, 2]], 5)
     p2 = Partition([[0, 1], [2]], 5)
     with pytest.raises(ValueError, match="coverage"):
-        pair_counts_bruteforce(p1.node_map(), p2.node_map())
+        oracles.pair_counts_bruteforce(p1.node_map(), p2.node_map())
     with pytest.raises(ValueError, match="coverage"):
         pair_counts(p1, p2)
 
@@ -126,7 +125,7 @@ def test_mismatched_cover_sets():
     p1 = Partition([[0, 1, 2]], 3)
     p2 = Partition([[0, 1], [3]], 4)
     with pytest.raises(ValueError):
-        pair_counts_bruteforce(p1.node_map(), p2.node_map())
+        oracles.pair_counts_bruteforce(p1.node_map(), p2.node_map())
 
 
 def test_independent_labelings_near_zero_ari():
@@ -157,13 +156,13 @@ def test_single_rounding_indices_on_a_planted_pair():
     # backend and both counting methods report the exact value rounded once
     _net, ground = generate_network(GeneratorParams(node_count=3000, seed=11))
     detected = perturb_partition(ground, 0.1, seed=5)
-    full = pair_counts_bruteforce(ground.node_map(), detected.node_map())
-    rand = float(oracles.rand_exact(full.as_tuple()))
-    jaccard = float(oracles.jaccard_exact(full.as_tuple()))
+    full = oracles.pair_counts_bruteforce(ground.node_map(), detected.node_map())
+    rand = float(oracles.rand_exact(full))
+    jaccard = float(oracles.jaccard_exact(full))
     for backend, workers in [("seq", 1), ("shm", 3), ("ring", 3)]:
         for method in ("fast", "bruteforce"):
             res, _ = run_pair_metrics(ground, detected,
                                       BackendConfig(backend, workers), method)
-            assert res.counts == full, (backend, method)
+            assert res.counts.as_tuple() == full, (backend, method)
             assert res.rand.hex() == rand.hex(), (backend, method)
             assert res.jaccard.hex() == jaccard.hex(), (backend, method)
